@@ -28,6 +28,7 @@ from .formulas import (
     Not,
     Or,
     canonical_query,
+    children,
     classify,
     conj,
     disj,
@@ -36,9 +37,11 @@ from .formulas import (
     parse_formula,
     pp_entails,
     query_variable,
+    rebuild,
     render,
     replace_atoms,
     structure_of_pp,
+    subformulas,
     variable_names,
 )
 from .gadgets import (

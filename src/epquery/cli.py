@@ -3,7 +3,8 @@
 Verdict-producing subcommands exit 0 for true, 1 for false, 2 on error;
 ``--format json`` prints one structured record instead of plain text.
 Resource limits come from flags, with environment-variable fallbacks
-(EPQ_MAX_NODES, EPQ_MAX_DISJUNCTS, EPQ_MAX_EXACT_TW).
+(EPQ_MAX_NODES, EPQ_MAX_DISJUNCTS, EPQ_MAX_EXACT_TW); each subcommand takes
+only the limit flags it reads.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from pathlib import Path
 
-from .errors import EpqError, LimitExceeded
+from .errors import MAX_DISJUNCTS, MAX_EXACT_TW, MAX_NODES, EpqError, LimitExceeded
 from .evaluate import evaluate
 from .formulas import classify, parse_formula, render
 from .gadgets import (
@@ -44,18 +46,22 @@ def _env_int(name, default):
         raise EpqError(f"environment variable {name} is not an integer: {value!r}") from None
 
 
+# Limit flag destination -> (environment fallback, default).
+_LIMITS = {
+    "max_nodes": ("EPQ_MAX_NODES", MAX_NODES),
+    "max_disjuncts": ("EPQ_MAX_DISJUNCTS", MAX_DISJUNCTS),
+    "max_exact_tw": ("EPQ_MAX_EXACT_TW", MAX_EXACT_TW),
+}
+
+
 def _limits(args):
-    return {
-        "max_nodes": args.max_nodes
-        if args.max_nodes is not None
-        else _env_int("EPQ_MAX_NODES", 10_000_000),
-        "max_disjuncts": args.max_disjuncts
-        if args.max_disjuncts is not None
-        else _env_int("EPQ_MAX_DISJUNCTS", 10_000),
-        "max_exact_tw": args.max_exact_tw
-        if args.max_exact_tw is not None
-        else _env_int("EPQ_MAX_EXACT_TW", 20),
-    }
+    """The limit flags the subcommand takes, each filled from its fallback when unset."""
+    limits = {}
+    for name, (env, default) in _LIMITS.items():
+        if hasattr(args, name):
+            value = getattr(args, name)
+            limits[name] = value if value is not None else _env_int(env, default)
+    return limits
 
 
 def _read(path):
@@ -263,11 +269,11 @@ def _cmd_gdnf(args, limits):
     return [text.rstrip("\n")], record, 0
 
 
-def _add_common(sub):
+def _add_common(sub, *limits):
+    """``--format`` plus the limit flags (keys of ``_LIMITS``) the subcommand reads."""
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--max-nodes", type=int, default=None)
-    sub.add_argument("--max-disjuncts", type=int, default=None)
-    sub.add_argument("--max-exact-tw", type=int, default=None)
+    for name in limits:
+        sub.add_argument("--" + name.replace("_", "-"), type=int, default=None)
 
 
 def build_parser():
@@ -283,18 +289,18 @@ def build_parser():
     p.add_argument("--bundle", help="directory holding sentence.epq and structure.str")
     p.add_argument("--strategy", choices=("naive", "kvar", "dnf-hom", "pp-reduction"), default="naive")
     p.add_argument("--k", type=int, default=None, help="variable bound for the kvar strategy")
-    _add_common(p)
+    _add_common(p, "max_nodes", "max_disjuncts")
     p.set_defaults(handler=_cmd_eval)
 
     p = subs.add_parser("hom", help="search for a homomorphism between structures")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    _add_common(p)
+    _add_common(p, "max_nodes")
     p.set_defaults(handler=_cmd_hom)
 
     p = subs.add_parser("core", help="compute the core of a structure")
     p.add_argument("--structure", required=True)
-    _add_common(p)
+    _add_common(p, "max_nodes")
     p.set_defaults(handler=_cmd_core)
 
     p = subs.add_parser("canonical-query", help="canonical query of a structure")
@@ -309,21 +315,19 @@ def build_parser():
 
     p = subs.add_parser("normalize", help="pairwise non-entailing disjunct set of a sentence")
     p.add_argument("--sentence", required=True)
-    _add_common(p)
+    _add_common(p, "max_nodes", "max_disjuncts")
     p.set_defaults(handler=_cmd_normalize)
 
     p = subs.add_parser("compile-unary", help="one-variable compilation over unary signatures")
     p.add_argument("--sentence", required=True)
-    _add_common(p)
+    _add_common(p, "max_nodes", "max_disjuncts")
     p.set_defaults(handler=_cmd_compile_unary)
 
     p = subs.add_parser("treewidth", help="exact or heuristic treewidth")
     p.add_argument("--structure", required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--exact", action="store_true", default=True)
-    group.add_argument("--upper", action="store_true")
+    p.add_argument("--upper", action="store_true", help="min-fill upper bound instead of exact")
     p.add_argument("--witness", action="store_true", help="also print the decomposition")
-    _add_common(p)
+    _add_common(p, "max_exact_tw")
     p.set_defaults(handler=_cmd_treewidth)
 
     p = subs.add_parser("gadget", help="gadget translations of labelled digraphs")
@@ -358,28 +362,29 @@ def build_parser():
     return parser
 
 
+def _fail(args, message, limits_hit):
+    if args.format == "json":
+        print(json.dumps(
+            {"command": args.command, "error": message, "limits-hit": limits_hit}, sort_keys=True
+        ))
+    else:
+        print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         lines, record, code = args.handler(args, _limits(args))
     except LimitExceeded as exc:
-        if args.format == "json":
-            print(json.dumps(
-                {"command": args.command, "error": str(exc), "limits-hit": [exc.what]},
-                sort_keys=True,
-            ))
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(args, str(exc), [exc.what])
     except (EpqError, OSError) as exc:
-        if args.format == "json":
-            print(json.dumps(
-                {"command": args.command, "error": str(exc), "limits-hit": []}, sort_keys=True
-            ))
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(args, str(exc), [])
+    except Exception as exc:
+        # exit 1 means "false"; a crash must never be read as a verdict
+        traceback.print_exc()
+        return _fail(args, f"{type(exc).__name__}: {exc}", [])
     if args.format == "json":
         print(json.dumps(record, sort_keys=True))
     else:

@@ -25,6 +25,13 @@ class FragmentError(EpqError):
     """A formula lies outside the fragment an operation requires."""
 
 
+# Default resource guards, shared by every function and subcommand that takes them.
+MAX_NODES = 10_000_000  # homomorphism search nodes
+MAX_DISJUNCTS = 10_000  # primitive positive disjuncts of one sentence
+MAX_EXACT_TW = 20  # universe size for exact treewidth
+MAX_CORE = 24  # universe size for core computation
+
+
 class LimitExceeded(EpqError):
     """A configurable resource guard was hit before the operation finished."""
 

@@ -11,7 +11,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import EpqError, FragmentError, LimitExceeded, SignatureMismatch
+from .errors import (
+    MAX_DISJUNCTS,
+    MAX_NODES,
+    EpqError,
+    FragmentError,
+    LimitExceeded,
+    SignatureMismatch,
+)
 from .formulas import (
     And,
     Atom,
@@ -23,10 +30,11 @@ from .formulas import (
     classify,
     free_variables,
     structure_of_pp,
+    subformulas,
 )
 from .homomorphism import find_homomorphism, hom_equivalent
 from .normalize import m_normalize, to_pp_disjunction
-from .structures import Structure, product
+from .structures import Structure, product, project_rows, repetition_pattern
 
 
 @dataclass(frozen=True)
@@ -38,7 +46,7 @@ class Instance:
 
 
 def _check_symbols(phi, b):
-    def walk(f):
+    for f in subformulas(phi):
         if isinstance(f, Atom):
             if f.symbol not in b.signature:
                 raise SignatureMismatch(f"symbol {f.symbol!r} is not in the structure signature")
@@ -47,31 +55,6 @@ def _check_symbols(phi, b):
                     f"symbol {f.symbol!r} has arity {b.signature.arity(f.symbol)}, "
                     f"used with {len(f.args)} arguments"
                 )
-        elif isinstance(f, (And, Or)):
-            for c in f.children:
-                walk(c)
-        elif isinstance(f, Not):
-            walk(f.child)
-        elif isinstance(f, (Exists, Forall)):
-            walk(f.child)
-
-    walk(phi)
-
-
-def _max_free(f):
-    """Largest number of free variables over all subformulas."""
-    if isinstance(f, Atom):
-        return len(set(f.args))
-    if isinstance(f, Equality):
-        return 1 if f.left == f.right else 2
-    if isinstance(f, (And, Or)):
-        inner = max(_max_free(c) for c in f.children)
-        return max(inner, len(free_variables(f)))
-    if isinstance(f, Not):
-        return _max_free(f.child)
-    if isinstance(f, (Exists, Forall)):
-        return max(_max_free(f.child), len(free_variables(f)))
-    raise EpqError(f"not a formula node: {f!r}")
 
 
 def eval_naive(phi, b, *, max_work=10_000_000):
@@ -89,20 +72,9 @@ def eval_naive(phi, b, *, max_work=10_000_000):
     size = len(b.universe)
     if size == 0:
         raise EpqError("evaluation needs a non-empty universe")
-    if size ** _max_free(phi) > max_work:
+    free_of = {id(f): tuple(sorted(free_variables(f))) for f in subformulas(phi)}
+    if size ** max(map(len, free_of.values())) > max_work:
         raise LimitExceeded("naive evaluation work estimate", max_work)
-
-    free_of = {}
-
-    def collect(f):
-        free_of[id(f)] = tuple(sorted(free_variables(f)))
-        if isinstance(f, (And, Or)):
-            for c in f.children:
-                collect(c)
-        elif isinstance(f, (Not, Exists, Forall)):
-            collect(f.child)
-
-    collect(phi)
 
     env = {}
     memo = {}
@@ -205,28 +177,10 @@ def eval_kvar(phi, b, k, *, stats=None, max_rows=10_000_000):
 
     def rel(f):
         if isinstance(f, Atom):
-            vars_order = []
-            pattern = []
-            pos = {}
-            for x in f.args:
-                if x not in pos:
-                    pos[x] = len(vars_order)
-                    vars_order.append(x)
-                pattern.append(pos[x])
-            rows = set()
-            for t in b.relations[f.symbol]:
-                proj = [None] * len(vars_order)
-                ok = True
-                for p, val in zip(pattern, t):
-                    if proj[p] is None:
-                        proj[p] = val
-                    elif proj[p] != val:
-                        ok = False
-                        break
-                if ok:
-                    rows.add(tuple(proj))
-            ordered = tuple(sorted(vars_order))
-            perm = [vars_order.index(v) for v in ordered]
+            distinct, pattern = repetition_pattern(f.args)
+            rows = project_rows(b.relations[f.symbol], pattern)
+            ordered = tuple(sorted(distinct))
+            perm = [distinct.index(v) for v in ordered]
             return note((ordered, {tuple(r[i] for i in perm) for r in rows}))
         if isinstance(f, Equality):
             if f.left == f.right:
@@ -276,31 +230,29 @@ def eval_kvar(phi, b, k, *, stats=None, max_rows=10_000_000):
     return bool(rows)
 
 
-def eval_dnf_hom(phi, b, *, max_disjuncts=10_000, max_nodes=10_000_000, stats=None):
+def _some_disjunct_maps(disjuncts, b, max_nodes, stats):
+    for psi in disjuncts:
+        struct = structure_of_pp(psi, b.signature)
+        if find_homomorphism(struct, b, max_nodes=max_nodes, stats=stats) is not None:
+            return True
+    return False
+
+
+def eval_dnf_hom(phi, b, *, max_disjuncts=MAX_DISJUNCTS, max_nodes=MAX_NODES, stats=None):
     """Existential positive evaluation: some disjunct's structure maps into b."""
     _check_symbols(phi, b)
-    for psi in to_pp_disjunction(phi, max_disjuncts=max_disjuncts):
-        struct = structure_of_pp(psi, b.signature)
-        if find_homomorphism(struct, b, max_nodes=max_nodes, stats=stats) is not None:
-            return True
-    return False
+    disjuncts = to_pp_disjunction(phi, max_disjuncts=max_disjuncts)
+    return _some_disjunct_maps(disjuncts, b, max_nodes, stats)
 
 
-def eval_via_pp_turing(phi, b, *, max_disjuncts=10_000, max_nodes=10_000_000, stats=None):
+def eval_via_pp_turing(phi, b, *, max_disjuncts=MAX_DISJUNCTS, max_nodes=MAX_NODES, stats=None):
     """Evaluation through the normalized disjunct set, one test per member."""
     _check_symbols(phi, b)
-    if classify(phi).fragment == "PP":
-        struct = structure_of_pp(phi, b.signature)
-        return find_homomorphism(struct, b, max_nodes=max_nodes, stats=stats) is not None
     members = m_normalize(phi, max_disjuncts=max_disjuncts, max_nodes=max_nodes, stats=stats)
-    for psi in members:
-        struct = structure_of_pp(psi, b.signature)
-        if find_homomorphism(struct, b, max_nodes=max_nodes, stats=stats) is not None:
-            return True
-    return False
+    return _some_disjunct_maps(members, b, max_nodes, stats)
 
 
-def pp_to_ep_instance(psi, phi, b, *, max_disjuncts=10_000, max_nodes=10_000_000):
+def pp_to_ep_instance(psi, phi, b, *, max_disjuncts=MAX_DISJUNCTS, max_nodes=MAX_NODES):
     """Product instance carrying a normalized-disjunct query over to the full sentence.
 
     Requires ``psi`` to be logically equivalent to a member of the normalized

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import EpqError, FragmentError, ParseError
+from .errors import MAX_NODES, EpqError, FragmentError, ParseError
 from .structures import RelationSymbol, Signature, Structure
 
 
@@ -61,73 +61,112 @@ class Forall:
     child: object
 
 
-def conj(parts):
-    """N-ary conjunction; nested conjunctions are flattened, singletons collapse."""
+def _flatten(kind, parts, name):
     flat = []
     for part in parts:
-        if isinstance(part, And):
+        if isinstance(part, kind):
             flat.extend(part.children)
         else:
             flat.append(part)
     if not flat:
-        raise EpqError("empty conjunction")
-    return flat[0] if len(flat) == 1 else And(tuple(flat))
+        raise EpqError(f"empty {name}")
+    return flat[0] if len(flat) == 1 else kind(tuple(flat))
+
+
+def conj(parts):
+    """N-ary conjunction; nested conjunctions are flattened, singletons collapse."""
+    return _flatten(And, parts, "conjunction")
 
 
 def disj(parts):
     """N-ary disjunction; nested disjunctions are flattened, singletons collapse."""
-    flat = []
-    for part in parts:
-        if isinstance(part, Or):
-            flat.extend(part.children)
-        else:
-            flat.append(part)
-    if not flat:
-        raise EpqError("empty disjunction")
-    return flat[0] if len(flat) == 1 else Or(tuple(flat))
+    return _flatten(Or, parts, "disjunction")
+
+
+# The traversal below tests exact node types: every formula walk goes
+# through it, and identity tests cost a fraction of isinstance chains.
+
+
+def children(f):
+    """Immediate subformulas of a formula node, left to right."""
+    kind = type(f)
+    if kind is Atom or kind is Equality:
+        return ()
+    if kind is And or kind is Or:
+        return f.children
+    if kind is Exists or kind is Forall or kind is Not:
+        return (f.child,)
+    raise EpqError(f"not a formula node: {f!r}")
+
+
+def rebuild(f, kids):
+    """The node ``f`` with its immediate subformulas replaced by ``kids``."""
+    kids = tuple(kids)
+    if len(kids) != len(children(f)):
+        raise EpqError(f"{type(f).__name__} node cannot take {len(kids)} subformulas")
+    kind = type(f)
+    if kind is And or kind is Or:
+        return kind(kids)
+    if kind is Exists or kind is Forall:
+        return kind(f.var, kids[0])
+    if kind is Not:
+        return Not(kids[0])
+    return f
+
+
+def subformulas(f):
+    """Every node of the formula in preorder: each node before its subformulas."""
+    out = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        out.append(g)
+        kids = children(g)
+        if kids:
+            stack.extend(reversed(kids))
+    return out
+
+
+def _variable_set(nodes):
+    names = set()
+    for g in nodes:
+        kind = type(g)
+        if kind is Atom:
+            names.update(g.args)
+        elif kind is Equality:
+            names.add(g.left)
+            names.add(g.right)
+        elif kind is Exists or kind is Forall:
+            names.add(g.var)
+    return names
 
 
 def variable_names(f):
     """Every variable token occurring anywhere in the formula."""
-    names = set()
+    return _variable_set(subformulas(f))
 
-    def walk(g):
-        if isinstance(g, Atom):
-            names.update(g.args)
-        elif isinstance(g, Equality):
-            names.add(g.left)
-            names.add(g.right)
-        elif isinstance(g, (And, Or)):
-            for c in g.children:
-                walk(c)
-        elif isinstance(g, Not):
-            walk(g.child)
-        elif isinstance(g, (Exists, Forall)):
-            names.add(g.var)
-            walk(g.child)
+
+def _free_sets(nodes):
+    # Free variables per node id, built bottom up: in reversed preorder every
+    # node comes after all of its subformulas.
+    free = {}
+    for g in reversed(nodes):
+        kind = type(g)
+        if kind is Atom:
+            out = set(g.args)
+        elif kind is Equality:
+            out = {g.left, g.right}
         else:
-            raise EpqError(f"not a formula node: {g!r}")
-
-    walk(f)
-    return names
+            out = set().union(*[free[id(c)] for c in children(g)])
+            if kind is Exists or kind is Forall:
+                out.discard(g.var)
+        free[id(g)] = out
+    return free
 
 
 def free_variables(f):
     """Variables with at least one occurrence not bound by a quantifier."""
-    if isinstance(f, Atom):
-        return frozenset(f.args)
-    if isinstance(f, Equality):
-        return frozenset((f.left, f.right))
-    if isinstance(f, (And, Or)):
-        out = frozenset()
-        for c in f.children:
-            out |= free_variables(c)
-        return out
-    if isinstance(f, Not):
-        return free_variables(f.child)
-    if isinstance(f, (Exists, Forall)):
-        return free_variables(f.child) - {f.var}
-    raise EpqError(f"not a formula node: {f!r}")
+    return frozenset(_free_sets(subformulas(f))[id(f)])
 
 
 @dataclass(frozen=True)
@@ -140,43 +179,19 @@ class FormulaInfo:
 
 def classify(f):
     """Fragment membership, distinct-variable count, equality and closedness flags."""
-    flags = {"or": False, "not": False, "forall": False, "eq": False}
-
-    def walk(g):
-        if isinstance(g, Atom):
-            return
-        if isinstance(g, Equality):
-            flags["eq"] = True
-        elif isinstance(g, And):
-            for c in g.children:
-                walk(c)
-        elif isinstance(g, Or):
-            flags["or"] = True
-            for c in g.children:
-                walk(c)
-        elif isinstance(g, Not):
-            flags["not"] = True
-            walk(g.child)
-        elif isinstance(g, Exists):
-            walk(g.child)
-        elif isinstance(g, Forall):
-            flags["forall"] = True
-            walk(g.child)
-        else:
-            raise EpqError(f"not a formula node: {g!r}")
-
-    walk(f)
-    if flags["not"] or flags["forall"]:
+    nodes = subformulas(f)
+    kinds = set(map(type, nodes))
+    if Not in kinds or Forall in kinds:
         fragment = "FO"
-    elif flags["or"]:
+    elif Or in kinds:
         fragment = "EP"
     else:
         fragment = "PP"
     return FormulaInfo(
         fragment=fragment,
-        variables=len(variable_names(f)),
-        equality_free=not flags["eq"],
-        closed=not free_variables(f),
+        variables=len(_variable_set(nodes)),
+        equality_free=Equality not in kinds,
+        closed=not _free_sets(nodes)[id(f)],
     )
 
 
@@ -388,23 +403,11 @@ def canonical_query(a):
 def formula_signature(f):
     """Signature inferred from the predicate atoms of a formula."""
     arities = {}
-
-    def walk(g):
+    for g in subformulas(f):
         if isinstance(g, Atom):
-            seen = arities.get(g.symbol)
-            if seen is None:
-                arities[g.symbol] = len(g.args)
-            elif seen != len(g.args):
+            seen = arities.setdefault(g.symbol, len(g.args))
+            if seen != len(g.args):
                 raise EpqError(f"symbol {g.symbol!r} used with arities {seen} and {len(g.args)}")
-        elif isinstance(g, (And, Or)):
-            for c in g.children:
-                walk(c)
-        elif isinstance(g, Not):
-            walk(g.child)
-        elif isinstance(g, (Exists, Forall)):
-            walk(g.child)
-
-    walk(f)
     return Signature([RelationSymbol(name, arity) for name, arity in arities.items()])
 
 
@@ -431,12 +434,6 @@ def _alpha_rename(f):
                 return Equality(env[g.left], env[g.right])
             except KeyError as exc:
                 raise FragmentError(f"free variable {exc.args[0]!r} in a sentence") from None
-        if isinstance(g, And):
-            return And(tuple(walk(c, env) for c in g.children))
-        if isinstance(g, Or):
-            return Or(tuple(walk(c, env) for c in g.children))
-        if isinstance(g, Not):
-            return Not(walk(g.child, env))
         if isinstance(g, (Exists, Forall)):
             if g.var in bound_seen:
                 new = _fresh_name(g.var, taken)
@@ -446,7 +443,7 @@ def _alpha_rename(f):
             bound_seen.add(new)
             child = walk(g.child, {**env, g.var: new})
             return type(g)(new, child)
-        raise EpqError(f"not a formula node: {g!r}")
+        return rebuild(g, [walk(c, env) for c in children(g)])
 
     return walk(f, {})
 
@@ -534,7 +531,7 @@ def joint_signature(*formulas):
     return Signature([RelationSymbol(n, a) for n, a in arities.items()])
 
 
-def pp_entails(psi, psi_prime, *, signature=None, max_nodes=10_000_000, stats=None):
+def pp_entails(psi, psi_prime, *, signature=None, max_nodes=MAX_NODES, stats=None):
     """Entailment between primitive positive sentences via homomorphism.
 
     ``psi`` entails ``psi_prime`` exactly when the structure of ``psi_prime``
@@ -553,14 +550,4 @@ def replace_atoms(f, fn):
     """Rebuild a formula with every predicate atom passed through ``fn``."""
     if isinstance(f, Atom):
         return fn(f)
-    if isinstance(f, Equality):
-        return f
-    if isinstance(f, And):
-        return And(tuple(replace_atoms(c, fn) for c in f.children))
-    if isinstance(f, Or):
-        return Or(tuple(replace_atoms(c, fn) for c in f.children))
-    if isinstance(f, Not):
-        return Not(replace_atoms(f.child, fn))
-    if isinstance(f, (Exists, Forall)):
-        return type(f)(f.var, replace_atoms(f.child, fn))
-    raise EpqError(f"not a formula node: {f!r}")
+    return rebuild(f, [replace_atoms(c, fn) for c in children(f)])

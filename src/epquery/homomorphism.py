@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EpqError, LimitExceeded, SignatureMismatch
-from .structures import Structure, induced_substructure
+from .errors import MAX_CORE, MAX_NODES, EpqError, LimitExceeded, SignatureMismatch
+from .structures import Structure, induced_substructure, project_rows, repetition_pattern
 
 
 @dataclass
@@ -80,43 +80,25 @@ def _build_constraints(source, target, sindex, tindex):
     for sym in source.signature:
         target_rows = sorted(target.relations[sym.name])
         for t in sorted(source.relations[sym.name]):
-            vars_order = []
-            pattern = []
-            pos_of = {}
-            for elem in t:
-                if elem not in pos_of:
-                    pos_of[elem] = len(vars_order)
-                    vars_order.append(sindex[elem])
-                pattern.append(pos_of[elem])
-            key = (sym.name, tuple(pattern))
+            distinct, pattern = repetition_pattern(t)
+            key = (sym.name, pattern)
             if key not in cache:
-                kept = {}
-                for row in target_rows:
-                    proj = [None] * len(vars_order)
-                    ok = True
-                    for p, val in zip(pattern, row):
-                        idx = tindex[val]
-                        if proj[p] is None:
-                            proj[p] = idx
-                        elif proj[p] != idx:
-                            ok = False
-                            break
-                    if ok:
-                        kept[tuple(proj)] = None
-                cache[key] = list(kept)
+                rows = project_rows(target_rows, pattern)
+                cache[key] = [tuple(tindex[x] for x in row) for row in rows]
             supports = cache[key]
-            if len(vars_order) == 1:
+            if len(distinct) == 1:
                 allowed = 0
                 for (val,) in supports:
                     allowed |= 1 << val
-                var = vars_order[0]
+                var = sindex[distinct[0]]
                 unary_masks[var] = unary_masks.get(var, -1) & allowed
             else:
-                constraints.append(_Constraint(tuple(vars_order), supports, target_size))
+                vars = tuple(sindex[x] for x in distinct)
+                constraints.append(_Constraint(vars, supports, target_size))
     return constraints, unary_masks
 
 
-def find_homomorphism(source, target, *, fixed=None, max_nodes=10_000_000, stats=None):
+def find_homomorphism(source, target, *, fixed=None, max_nodes=MAX_NODES, stats=None):
     """Return a deterministic witness homomorphism, or None if there is none.
 
     ``fixed`` pins source elements to target elements before the search; the
@@ -269,14 +251,19 @@ def find_homomorphism(source, target, *, fixed=None, max_nodes=10_000_000, stats
             domains[:] = saved
         return None
 
-    solution = search()
+    try:
+        solution = search()
+    finally:
+        # ``search`` refers to itself; dropping it frees the search state now
+        # instead of at the next full garbage collection
+        del search
     if solution is None:
         return None
     mapping = {source.universe[i]: target.universe[solution[i]] for i in range(n)}
     return Homomorphism(source, target, mapping)
 
 
-def hom_equivalent(a, b, *, max_nodes=10_000_000, stats=None):
+def hom_equivalent(a, b, *, max_nodes=MAX_NODES, stats=None):
     """True iff homomorphisms exist in both directions."""
     forward = find_homomorphism(a, b, max_nodes=max_nodes, stats=stats)
     if forward is None:
@@ -284,7 +271,7 @@ def hom_equivalent(a, b, *, max_nodes=10_000_000, stats=None):
     return find_homomorphism(b, a, max_nodes=max_nodes, stats=stats) is not None
 
 
-def find_retraction(a, subset, *, max_nodes=10_000_000, stats=None):
+def find_retraction(a, subset, *, max_nodes=MAX_NODES, stats=None):
     """Homomorphism from ``a`` onto the induced substructure fixing ``subset``."""
     wanted = set(subset)
     if not wanted or not wanted <= set(a.universe):
@@ -294,7 +281,7 @@ def find_retraction(a, subset, *, max_nodes=10_000_000, stats=None):
     return find_homomorphism(a, target, fixed=fixed, max_nodes=max_nodes, stats=stats)
 
 
-def core(a, *, max_universe=24, max_nodes=10_000_000, stats=None):
+def core(a, *, max_universe=MAX_CORE, max_nodes=MAX_NODES, stats=None):
     """Smallest substructure that is homomorphically equivalent to ``a``.
 
     Greedy element removal in universe order.  A removal is justified by any

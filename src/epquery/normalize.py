@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import FragmentError, LimitExceeded
+from .errors import MAX_DISJUNCTS, MAX_NODES, FragmentError, LimitExceeded
 from .formulas import (
     And,
     Atom,
@@ -28,7 +28,7 @@ from .formulas import (
 from .homomorphism import find_homomorphism, hom_equivalent
 
 
-def to_pp_disjunction(phi, *, max_disjuncts=10_000):
+def to_pp_disjunction(phi, *, max_disjuncts=MAX_DISJUNCTS):
     """Flatten an existential positive sentence into primitive positive disjuncts.
 
     The rewrite keeps the set of variable names unchanged and emits disjuncts
@@ -65,7 +65,9 @@ def to_pp_disjunction(phi, *, max_disjuncts=10_000):
     return dnf(phi)
 
 
-def m_normalize(phi, *, signature=None, max_disjuncts=10_000, max_nodes=10_000_000, stats=None):
+def m_normalize(
+    phi, *, signature=None, max_disjuncts=MAX_DISJUNCTS, max_nodes=MAX_NODES, stats=None
+):
     """One primitive positive representative per extremal equivalence class.
 
     Disjuncts are grouped by logical equivalence (homomorphic equivalence of
@@ -113,7 +115,7 @@ def _little_sentence(symbols):
     return Exists("v", conj([Atom(name, ("v",)) for name in sorted(symbols)]))
 
 
-def compile_unary(phi, *, signature=None, max_disjuncts=10_000, max_nodes=10_000_000):
+def compile_unary(phi, *, signature=None, max_disjuncts=MAX_DISJUNCTS, max_nodes=MAX_NODES):
     """Equivalent one-variable sentence for inputs over an all-unary signature.
 
     Each primitive positive disjunct collapses, per universe element of its

@@ -180,6 +180,37 @@ def induced_substructure(a, subset):
     return Structure(a.signature, universe, relations)
 
 
+def repetition_pattern(args):
+    """Distinct entries of ``args`` in first-occurrence order, and the index
+    among them of each position's entry: ``(x, y, x)`` gives ``([x, y], (0, 1, 0))``."""
+    distinct = []
+    pattern = []
+    index = {}
+    for x in args:
+        if x not in index:
+            index[x] = len(distinct)
+            distinct.append(x)
+        pattern.append(index[x])
+    return distinct, tuple(pattern)
+
+
+def project_rows(rows, pattern):
+    """The rows that repeat a value wherever ``pattern`` repeats an index,
+    cut down to one column per index; first-seen order, without duplicates."""
+    kept = {}
+    width = max(pattern) + 1
+    for row in rows:
+        proj = [None] * width
+        for p, val in zip(pattern, row):
+            if proj[p] is None:
+                proj[p] = val
+            elif proj[p] != val:
+                break
+        else:
+            kept[tuple(proj)] = None
+    return list(kept)
+
+
 def _position_profiles(s):
     # Per element: how often it occupies each (symbol, position) slot.  Used
     # to prune the isomorphism search.

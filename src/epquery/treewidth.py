@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EpqError, LimitExceeded, ParseError
+from .errors import MAX_CORE, MAX_EXACT_TW, MAX_NODES, EpqError, LimitExceeded, ParseError
 from .formulas import Atom, Equality, Exists, conj
 
 @dataclass(frozen=True)
@@ -126,19 +126,20 @@ def _elimination_cost(adj_masks, through, v):
     return (ext & ~(through | (1 << v))).bit_count()
 
 
+def _eliminate(adj, elem):
+    """Remove ``elem`` from the graph, make its neighbours a clique, return them."""
+    neigh = adj.pop(elem)
+    for u in neigh:
+        adj[u].update(neigh - {u})
+        adj[u].discard(elem)
+    return neigh
+
+
 def decomposition_from_order(a, order):
     """Tree decomposition induced by an elimination order over the universe."""
     adj = gaifman_adjacency(a)
-    adj = {elem: set(neigh) for elem, neigh in adj.items()}
     position = {elem: i for i, elem in enumerate(order)}
-    bags = []
-    for elem in order:
-        neigh = set(adj[elem])
-        bags.append((elem, frozenset({elem} | neigh)))
-        for u in neigh:
-            adj[u].update(neigh - {u})
-            adj[u].discard(elem)
-        del adj[elem]
+    bags = [(elem, frozenset({elem} | _eliminate(adj, elem))) for elem in order]
 
     node_ids = [f"t{i}" for i in range(len(order))]
     edges = []
@@ -160,7 +161,7 @@ def decomposition_from_order(a, order):
     )
 
 
-def treewidth_exact(a, *, max_universe=20):
+def treewidth_exact(a, *, max_universe=MAX_EXACT_TW):
     """Optimal width plus a witnessing decomposition, by subset dynamic programming.
 
     States are sets of already-eliminated elements; the cost of eliminating v
@@ -213,7 +214,7 @@ def treewidth_exact(a, *, max_universe=20):
 
 def treewidth_upper(a):
     """Width and decomposition from the min-fill elimination heuristic."""
-    adj = {elem: set(neigh) for elem, neigh in gaifman_adjacency(a).items()}
+    adj = gaifman_adjacency(a)
     position = {elem: i for i, elem in enumerate(a.universe)}
     order = []
     while adj:
@@ -229,11 +230,7 @@ def treewidth_upper(a):
             key = (fill, position[elem])
             if best_key is None or key < best_key:
                 best_elem, best_key = elem, key
-        neigh = adj[best_elem]
-        for u in neigh:
-            adj[u].update(neigh - {u})
-            adj[u].discard(best_elem)
-        del adj[best_elem]
+        _eliminate(adj, best_elem)
         order.append(best_elem)
     witness = decomposition_from_order(a, order)
     return witness.width(), witness
@@ -323,7 +320,9 @@ def pp_from_decomposition(a, d, k):
     return build(root, {})
 
 
-def decide_ppk(psi, k, *, signature=None, max_core=24, max_exact_tw=20, max_nodes=10_000_000):
+def decide_ppk(
+    psi, k, *, signature=None, max_core=MAX_CORE, max_exact_tw=MAX_EXACT_TW, max_nodes=MAX_NODES
+):
     """Whether a primitive positive sentence can be written with k variables.
 
     Equivalent to the core of the sentence's induced structure having

@@ -72,9 +72,33 @@ def test_eval_json_record(tmp_path, capsys):
 
 def test_treewidth_k4(tmp_path, capsys):
     (tmp_path / "k4.str").write_text(K4)
-    code, out, _ = _run(capsys, ["treewidth", "--structure", str(tmp_path / "k4.str"), "--exact"])
+    code, out, _ = _run(capsys, ["treewidth", "--structure", str(tmp_path / "k4.str")])
     assert code == 0
     assert out.strip() == "3"
+
+
+def test_search_crash_is_an_error_not_a_verdict(tmp_path, capsys):
+    # 1,200 disjoint edges into a symmetric K2: the search goes one level
+    # deeper per edge, past the interpreter's default recursion limit
+    edges = "".join(f"tuple E a{i} b{i}\n" for i in range(1200))
+    universe = " ".join(f"a{i} b{i}" for i in range(1200))
+    (tmp_path / "a.str").write_text(f"signature E/2\nuniverse {universe}\n{edges}")
+    (tmp_path / "k2.str").write_text("signature E/2\nuniverse x y\ntuple E x y\ntuple E y x\n")
+    code, out, _ = _run(
+        capsys,
+        ["hom", "--source", str(tmp_path / "a.str"), "--target", str(tmp_path / "k2.str"),
+         "--format", "json"],
+    )
+    record = json.loads(out)
+    assert code in (0, 2)
+    if code == 0:
+        source = q.parse_structure((tmp_path / "a.str").read_text())
+        target = q.parse_structure((tmp_path / "k2.str").read_text())
+        assert q.verify_homomorphism(q.Homomorphism(source, target, record["result"]))
+    else:
+        assert record["command"] == "hom"
+        assert record["error"]
+        assert record["limits-hit"] == []
 
 
 def test_treewidth_witness_validates(tmp_path, capsys):

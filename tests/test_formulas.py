@@ -8,6 +8,7 @@ from helpers import (
     all_structures,
     brute_hom_exists,
     digraph,
+    random_ep_formula,
     random_pp_formula,
     random_structure,
 )
@@ -59,16 +60,18 @@ def test_render_examples():
     assert q.render(nested) == "(P(x) & Q(x)) | P(y)"
 
 
+ROUND_TRIP_TEXTS = [
+    "exists x . E(x,x)",
+    "exists x . exists y . (E(x,y) & (exists x . E(y,x)))",
+    "forall x . (P(x) | (not Q(x)))",
+    "exists x . (x = x & (P(x) | (Q(x) & P(x))))",
+    "not (P(x) & Q(y))",
+    "exists v . (P(v) | Q(v)) & P(v)",
+]
+
+
 def test_parse_render_round_trip():
-    texts = [
-        "exists x . E(x,x)",
-        "exists x . exists y . (E(x,y) & (exists x . E(y,x)))",
-        "forall x . (P(x) | (not Q(x)))",
-        "exists x . (x = x & (P(x) | (Q(x) & P(x))))",
-        "not (P(x) & Q(y))",
-        "exists v . (P(v) | Q(v)) & P(v)",
-    ]
-    for text in texts:
+    for text in ROUND_TRIP_TEXTS:
         f = q.parse_formula(text)
         assert q.parse_formula(q.render(f)) == f
 
@@ -81,6 +84,28 @@ def test_round_trip_random_formulas():
         # and the text side: canonical text reprints as itself
         canonical = q.render(f)
         assert q.render(q.parse_formula(canonical)) == canonical
+
+
+def test_rebuild_from_children_is_identity():
+    rng = random.Random(17)
+    formulas = [q.parse_formula(text) for text in ROUND_TRIP_TEXTS]
+    formulas += [random_ep_formula(rng, EPQ_SIG) for _ in range(60)]
+    formulas += [random_pp_formula(rng, EPQ_SIG) for _ in range(60)]
+    def preorder(g):
+        return [g] + [node for c in q.children(g) for node in preorder(c)]
+
+    kinds = set()
+    for f in formulas:
+        nodes = q.subformulas(f)
+        assert list(map(id, nodes)) == list(map(id, preorder(f)))
+        for g in nodes:
+            kinds.add(type(g))
+            assert q.rebuild(g, q.children(g)) == g
+    assert kinds == {q.Atom, q.Equality, q.And, q.Or, q.Not, q.Exists, q.Forall}
+    with pytest.raises(q.EpqError, match="not a formula node"):
+        q.children("P(x)")
+    with pytest.raises(q.EpqError):
+        q.rebuild(q.Not(q.Atom("P", ("x",))), ())
 
 
 def test_classify_examples():
@@ -211,3 +236,5 @@ def test_formula_signature_inference():
     assert set(sig.names) == {"E", "P"}
     with pytest.raises(q.EpqError):
         q.formula_signature(q.conj([q.Atom("E", ("x",)), q.Atom("E", ("x", "y"))]))
+    with pytest.raises(q.EpqError, match="not a formula node"):
+        q.formula_signature(q.And((q.Atom("P", ("x",)), "Q(x)")))
