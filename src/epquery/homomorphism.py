@@ -3,10 +3,23 @@
 The search is constraint propagation plus backtracking: one variable per
 source element whose domain is the target universe (kept as a bitmask), one
 constraint per source tuple whose supports are the target tuples matching
-the source tuple's repetition pattern.  Generalized arc consistency runs
-after every assignment; variables are picked by fewest remaining candidates
-with a degree tie-break, values in target universe order, so both the
-verdict and the returned witness are deterministic.
+the source tuple's repetition pattern.
+
+- The target side is prepared once per target structure and kept on it: per
+  (symbol, repetition pattern), the supports, a mask per column of the values
+  that have a support, and for binary patterns the per-value partner masks.
+  Every search into that target reuses them.
+- Domains start at the column masks, and propagation is driven by what
+  changed: each queued variable carries the values it lost, and a binary
+  revision walks those or the values still left, whichever are fewer.
+  Constraints of arity three or more rescan their rows.  Generalized arc
+  consistency runs after every assignment.
+- The search keeps its own stack of (variable, values left, domains on
+  entry), so its depth is not bound by the interpreter's recursion limit.
+
+Variables are picked by fewest remaining candidates with a degree
+tie-break, values in target universe order, so both the verdict and the
+returned witness are deterministic.
 """
 
 from __future__ import annotations
@@ -50,52 +63,110 @@ def verify_homomorphism(h):
     return True
 
 
-class _Constraint:
-    __slots__ = ("vars", "supports", "fwd", "rev", "queued")
+class _PreparedTarget:
+    """The target-side tables of the search, built once per target structure.
 
-    def __init__(self, vars, supports, target_size):
-        self.vars = vars  # distinct variable indices, first-occurrence order
-        self.supports = supports  # value-index tuples aligned with ``vars``
-        self.queued = False
-        if len(vars) == 2:
-            # per-value partner masks make binary revision a bit operation
-            fwd = [0] * target_size
-            rev = [0] * target_size
-            for a, b in supports:
-                fwd[a] |= 1 << b
-                rev[b] |= 1 << a
-            self.fwd = fwd
-            self.rev = rev
-        else:
-            self.fwd = None
-            self.rev = None
+    Per (symbol, repetition pattern) key: the projected supports as index
+    tuples, one mask per column of the values that have a support there, and
+    for binary keys the partner masks ``fwd[a]`` (second values seen with
+    ``a``) and ``rev[b]`` (first values seen with ``b``).  Keys are filled in
+    on first use and shared by every source tuple with that key.
+    """
+
+    def __init__(self, target):
+        self.tindex = {e: i for i, e in enumerate(target.universe)}
+        self.size = len(target.universe)
+        self.relations = target.relations
+        self.keys = {}
+
+    def entry(self, name, pattern):
+        key = (name, pattern)
+        found = self.keys.get(key)
+        if found is None:
+            tindex = self.tindex
+            supports = [tuple(tindex[x] for x in row)
+                        for row in project_rows(self.relations[name], pattern)]
+            cols = [0] * (max(pattern) + 1)
+            for row in supports:
+                for i, val in enumerate(row):
+                    cols[i] |= 1 << val
+            fwd = rev = None
+            if len(cols) == 2:
+                fwd = [0] * self.size
+                rev = [0] * self.size
+                for a, b in supports:
+                    fwd[a] |= 1 << b
+                    rev[b] |= 1 << a
+            found = self.keys[key] = (supports, cols, fwd, rev)
+        return found
 
 
-def _build_constraints(source, target, sindex, tindex):
-    """One constraint per source tuple; single-variable ones become domain masks."""
-    constraints = []
-    unary_masks = {}
-    cache = {}
-    target_size = len(target.universe)
-    for sym in source.signature:
-        target_rows = sorted(target.relations[sym.name])
-        for t in sorted(source.relations[sym.name]):
-            distinct, pattern = repetition_pattern(t)
-            key = (sym.name, pattern)
-            if key not in cache:
-                rows = project_rows(target_rows, pattern)
-                cache[key] = [tuple(tindex[x] for x in row) for row in rows]
-            supports = cache[key]
-            if len(distinct) == 1:
-                allowed = 0
-                for (val,) in supports:
-                    allowed |= 1 << val
-                var = sindex[distinct[0]]
-                unary_masks[var] = unary_masks.get(var, -1) & allowed
-            else:
-                vars = tuple(sindex[x] for x in distinct)
-                constraints.append(_Constraint(vars, supports, target_size))
-    return constraints, unary_masks
+def _prepared(target):
+    # Kept in the instance ``__dict__``, outside the dataclass fields, so
+    # equality and serialization never see it; structures are immutable.
+    table = target.__dict__.get("_prepared")
+    if table is None:
+        table = target.__dict__["_prepared"] = _PreparedTarget(target)
+    return table
+
+
+def _propagate(domains, arcs, scans, queue):
+    """Narrow ``domains`` to generalized arc consistency; False on a wipe-out.
+
+    ``queue`` maps each variable to the values it lost since it was last
+    processed.  Processing ``x`` rescans the rows of its constraints of arity
+    three or more, then revises its binary arcs ``x -> y`` from whichever is
+    smaller: the values ``x`` still has, or the values it lost.  The result
+    is the unique largest consistent sub-domain, whatever the queue order.
+    """
+    while queue:
+        x, lost = queue.popitem()
+        for vars, rows in scans[x]:
+            doms = [domains[v] for v in vars]
+            unions = [0] * len(vars)
+            for row in rows:
+                for i, val in enumerate(row):
+                    if not doms[i] >> val & 1:
+                        break
+                else:
+                    for i, val in enumerate(row):
+                        unions[i] |= 1 << val
+            for v, dom, union in zip(vars, doms, unions):
+                removed = dom & ~union
+                if removed:
+                    if removed == dom:
+                        return False
+                    domains[v] = dom ^ removed
+                    queue[v] = queue.get(v, 0) | removed
+        dom_x = domains[x]
+        from_lost = lost.bit_count() < dom_x.bit_count()
+        for out, back, ys in arcs[x]:
+            # the values reached through ``out`` from the lost or the kept ones
+            reached = 0
+            rest = lost if from_lost else dom_x
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                reached |= out[bit.bit_length() - 1]
+            for y in ys:
+                dom_y = domains[y]
+                if from_lost:
+                    # only a value that lost a partner can lose its last support
+                    removed = 0
+                    rest = reached & dom_y
+                    while rest:
+                        bit = rest & -rest
+                        rest ^= bit
+                        if not back[bit.bit_length() - 1] & dom_x:
+                            removed |= bit
+                else:
+                    removed = dom_y & ~reached
+                if removed:
+                    if removed == dom_y:
+                        return False
+                    domains[y] = dom_y ^ removed
+                    queue[y] = queue.get(y, 0) | removed
+    return True
 
 
 def find_homomorphism(source, target, *, fixed=None, max_nodes=MAX_NODES, stats=None):
@@ -108,10 +179,11 @@ def find_homomorphism(source, target, *, fixed=None, max_nodes=MAX_NODES, stats=
         raise SignatureMismatch("homomorphism search needs similar structures")
     if not source.universe or not target.universe:
         raise EpqError("homomorphism search needs non-empty universes")
+    prepared = _prepared(target)
+    tindex = prepared.tindex
     sindex = {e: i for i, e in enumerate(source.universe)}
-    tindex = {e: i for i, e in enumerate(target.universe)}
     n = len(source.universe)
-    full = (1 << len(target.universe)) - 1
+    full = (1 << prepared.size) - 1
     domains = [full] * n
     if fixed:
         for elem, val in fixed.items():
@@ -121,145 +193,66 @@ def find_homomorphism(source, target, *, fixed=None, max_nodes=MAX_NODES, stats=
                 raise EpqError(f"fixed value {val!r} is not in the target universe")
             domains[sindex[elem]] &= 1 << tindex[val]
 
-    constraints, unary_masks = _build_constraints(source, target, sindex, tindex)
-    for var, mask in unary_masks.items():
-        domains[var] &= mask
-    if any(d == 0 for d in domains):
+    # One constraint per source tuple, over its distinct elements.  Each
+    # variable starts at the values with a support in every column it fills,
+    # which is what a first revision against full domains would leave.
+    arcs = [{} for _ in range(n)]  # id(partner masks) -> (partner masks, reverse masks, others)
+    scans = [[] for _ in range(n)]  # (variables, supports) of arity three or more
+    degree = [0] * n
+    for sym in source.signature:
+        for t in source.relations[sym.name]:
+            distinct, pattern = repetition_pattern(t)
+            supports, cols, fwd, rev = prepared.entry(sym.name, pattern)
+            vars = [sindex[x] for x in distinct]
+            for v, col in zip(vars, cols):
+                domains[v] &= col
+            if len(vars) == 2:
+                for (x, y), out, back in ((vars, fwd, rev), (vars[::-1], rev, fwd)):
+                    arcs[x].setdefault(id(out), (out, back, []))[2].append(y)
+            elif len(vars) > 2:
+                for v in vars:
+                    scans[v].append((vars, supports))
+            if len(vars) > 1:
+                for v in vars:
+                    degree[v] += 1
+    if not all(domains):
         return None
-
-    by_var = [[] for _ in range(n)]
-    for c in constraints:
-        for v in set(c.vars):
-            by_var[v].append(c)
-    degree = [len(by_var[v]) for v in range(n)]
+    arcs = [list(groups.values()) for groups in arcs]
+    queue = {v: full ^ dom for v, dom in enumerate(domains) if dom != full}
+    if not _propagate(domains, arcs, scans, queue):
+        return None
     counters = stats if stats is not None else SearchStats()
 
-    def propagate(queue):
-        pending = []
-        for c in queue:
-            if not c.queued:
-                c.queued = True
-                pending.append(c)
-        ok = True
-        while pending:
-            c = pending.pop()
-            c.queued = False
-            if c.fwd is not None:
-                u, v = c.vars
-                dom_u, dom_v = domains[u], domains[v]
-                new_u = 0
-                new_v = 0
-                # walk the smaller side; masks give the other side for free
-                if dom_u.bit_count() <= dom_v.bit_count():
-                    masks = c.fwd
-                    rest = dom_u
-                    while rest:
-                        bit = rest & -rest
-                        rest ^= bit
-                        hit = masks[bit.bit_length() - 1] & dom_v
-                        if hit:
-                            new_u |= bit
-                            new_v |= hit
-                else:
-                    masks = c.rev
-                    rest = dom_v
-                    while rest:
-                        bit = rest & -rest
-                        rest ^= bit
-                        hit = masks[bit.bit_length() - 1] & dom_u
-                        if hit:
-                            new_v |= bit
-                            new_u |= hit
-                if not new_u:
-                    ok = False
-                    break
-                changed = []
-                if new_u != dom_u:
-                    domains[u] = new_u
-                    changed.append(u)
-                if new_v != dom_v:
-                    domains[v] = new_v
-                    changed.append(v)
-            else:
-                doms = [domains[v] for v in c.vars]
-                unions = [0] * len(c.vars)
-                alive = False
-                for row in c.supports:
-                    for i, val in enumerate(row):
-                        if not (doms[i] >> val) & 1:
-                            break
-                    else:
-                        alive = True
-                        for i, val in enumerate(row):
-                            unions[i] |= 1 << val
-                if not alive:
-                    ok = False
-                    break
-                changed = []
-                for i, v in enumerate(c.vars):
-                    narrowed = domains[v] & unions[i]
-                    if narrowed != domains[v]:
-                        if narrowed == 0:
-                            ok = False
-                            break
-                        domains[v] = narrowed
-                        changed.append(v)
-                if not ok:
-                    break
-            for v in changed:
-                for other in by_var[v]:
-                    if other is not c and not other.queued:
-                        other.queued = True
-                        pending.append(other)
-        if not ok:
-            for c in pending:
-                c.queued = False
-        return ok
-
-    if not propagate(constraints):
-        return None
-
     def choose():
-        best = None
-        best_key = None
-        for v in range(n):
-            size = domains[v].bit_count()
-            if size > 1:
-                key = (size, -degree[v], v)
-                if best is None or key < best_key:
-                    best, best_key = v, key
-        return best
+        # fewest values, then highest degree, then lowest index; None when all are fixed
+        best = min(((dom.bit_count(), -degree[v], v) for v, dom in enumerate(domains)
+                    if dom & (dom - 1)), default=None)
+        return None if best is None else best[2]
 
-    def search():
-        v = choose()
-        if v is None:
-            # all singletons; consistency is guaranteed by arc consistency
-            return [domains[i].bit_length() - 1 for i in range(n)]
-        rest = domains[v]
-        while rest:
+    # Depth-first over (variable, values left to try, domains on entry);
+    # values go in target universe order, so the witness is deterministic.
+    stack = []
+    while (var := choose()) is not None:
+        stack.append([var, domains[var], domains[:]])
+        while True:
+            if not stack:
+                return None
+            frame = stack[-1]
+            var, rest, saved = frame
+            if not rest:
+                stack.pop()
+                continue
             bit = rest & -rest
-            rest ^= bit
+            frame[1] = rest ^ bit
             counters.nodes += 1
             if counters.nodes > max_nodes:
                 raise LimitExceeded("homomorphism search nodes", max_nodes)
-            saved = domains[:]
-            domains[v] = bit
-            if propagate(by_var[v]):
-                found = search()
-                if found is not None:
-                    return found
             domains[:] = saved
-        return None
-
-    try:
-        solution = search()
-    finally:
-        # ``search`` refers to itself; dropping it frees the search state now
-        # instead of at the next full garbage collection
-        del search
-    if solution is None:
-        return None
-    mapping = {source.universe[i]: target.universe[solution[i]] for i in range(n)}
+            domains[var] = bit
+            if _propagate(domains, arcs, scans, {var: saved[var] ^ bit}):
+                break
+    # every domain is a singleton, and arc consistency makes the map a homomorphism
+    mapping = {source.universe[i]: target.universe[domains[i].bit_length() - 1] for i in range(n)}
     return Homomorphism(source, target, mapping)
 
 

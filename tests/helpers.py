@@ -35,11 +35,13 @@ def path_digraph(n, prefix="p"):
     return digraph(names, edges)
 
 
-def brute_hom_exists(a, b):
-    """Oracle: enumerate all |B| ** |A| maps and test preservation directly."""
+def brute_hom_exists(a, b, fixed=None):
+    """Oracle: enumerate all |B| ** |A| maps and test preservation directly;
+    ``fixed`` keeps only the maps that send each of its keys to its value."""
+    fixed = fixed or {}
     for values in itertools.product(b.universe, repeat=len(a.universe)):
         mapping = dict(zip(a.universe, values))
-        if all(
+        if all(mapping[x] == v for x, v in fixed.items()) and all(
             tuple(mapping[x] for x in t) in b.relations[sym.name]
             for sym in a.signature
             for t in a.relations[sym.name]

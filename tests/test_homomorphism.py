@@ -11,6 +11,7 @@ from helpers import (
     clique_digraph,
     cycle_digraph,
     digraph,
+    path_digraph,
     random_structure,
 )
 
@@ -153,6 +154,136 @@ def test_completeness_sampled_three_element_pairs():
         assert (got is not None) == brute_hom_exists(a, b)
         if got is not None:
             assert q.verify_homomorphism(got)
+
+
+MIXED = q.Signature(
+    [q.RelationSymbol("P", 1), q.RelationSymbol("E", 2), q.RelationSymbol("T", 3)]
+)
+
+
+def _mixed_structure(rng, size, density, prefix):
+    # every tuple of the product may be drawn, so E(x,x) and T(x,y,x) occur
+    universe = tuple(f"{prefix}{i}" for i in range(size))
+    relations = {
+        sym.name: {
+            t for t in itertools.product(universe, repeat=sym.arity)
+            if rng.random() < density[sym.arity]
+        }
+        for sym in MIXED
+    }
+    return q.Structure(MIXED, universe, relations)
+
+
+def test_completeness_mixed_arity_with_pins():
+    # unary masks, binary arcs, ternary row scans and pins, against the oracle
+    rng = random.Random(31)
+    verdicts = set()
+    t_shapes = set()
+    for _ in range(400):
+        a = _mixed_structure(rng, rng.randint(1, 4), {1: 0.3, 2: 0.2, 3: 0.05}, "a")
+        b = _mixed_structure(rng, rng.randint(1, 4), {1: 0.7, 2: 0.6, 3: 0.4}, "b")
+        pinned = rng.sample(a.universe, rng.randint(0, min(2, len(a.universe))))
+        fixed = {x: rng.choice(b.universe) for x in pinned}
+        got = q.find_homomorphism(a, b, fixed=fixed)
+        assert (got is not None) == brute_hom_exists(a, b, fixed)
+        if got is not None:
+            assert q.verify_homomorphism(got)
+            assert all(got.mapping[x] == v for x, v in fixed.items())
+        verdicts.add(got is not None)
+        t_shapes |= {len(set(t)) for t in a.relations["T"]}
+    assert verdicts == {True, False}
+    assert t_shapes == {1, 2, 3}
+
+
+def triangulated_grid(rows, columns):
+    names = [f"g{r}_{c}" for r in range(rows) for c in range(columns)]
+    edges = set()
+    for r in range(rows):
+        for c in range(columns):
+            if c + 1 < columns:
+                edges.add((f"g{r}_{c}", f"g{r}_{c + 1}"))
+            if r + 1 < rows:
+                edges.add((f"g{r}_{c}", f"g{r + 1}_{c}"))
+                if c + 1 < columns:
+                    edges.add((f"g{r}_{c}", f"g{r + 1}_{c + 1}"))
+    return digraph(names, edges)
+
+
+def sparse_digraph(seed, n, image):
+    """Three random out-neighbours per vertex, plus i -> i+1 and i -> i+2 on
+    the first ``image`` vertices, which holds an image of a 3-row grid."""
+    rng = random.Random(seed)
+    names = [f"b{i}" for i in range(n)]
+    edges = {(u, v) for u in names for v in rng.sample([w for w in names if w != u], 3)}
+    edges |= {(names[i], names[i + d]) for d in (1, 2) for i in range(image - d)}
+    return digraph(names, edges)
+
+
+# Fixed node counts and witnesses: the benchmark's node counters and every
+# returned witness depend on the variable and value order, so it must not drift.
+def test_grid_search_nodes_and_witness_are_pinned():
+    grid = triangulated_grid(3, 6)
+    stats = q.SearchStats()
+    h = q.find_homomorphism(grid, sparse_digraph(1, 60, 8), stats=stats)
+    assert stats.nodes == 2
+    assert [h.mapping[x] for x in grid.universe] == [
+        "b12", "b42", "b1", "b2", "b3", "b4",
+        "b42", "b1", "b2", "b3", "b4", "b5",
+        "b1", "b2", "b3", "b4", "b5", "b6",
+    ]
+    stats = q.SearchStats()
+    assert q.find_homomorphism(grid, sparse_digraph(2, 60, 0), stats=stats) is None
+    assert stats.nodes == 56
+
+
+@pytest.mark.parametrize("lift", [None, 3])
+def test_hamiltonian_search_nodes_and_witness_are_pinned(lift):
+    g = digraph(["a0", "a1", "a2"], {("a0", "a1"), ("a1", "a2"), ("a2", "a0"), ("a0", "a2")})
+    red = q.reduce_hamiltonian(g, lift)
+    nodes = []
+    witnesses = []
+    for psi in q.to_pp_disjunction(red.sentence):
+        stats = q.SearchStats()
+        h = q.find_homomorphism(q.structure_of_pp(psi, red.structure.signature), red.structure,
+                                stats=stats)
+        nodes.append(stats.nodes)
+        witnesses.append(h)
+    assert nodes == [81] * 15 + [1] + [81] * 11
+    assert [i for i, h in enumerate(witnesses) if h is not None] == [15]
+    # q_v<i>^<part> goes to the same part of the gadget of vertex a<i-1>
+    mapping = witnesses[15].mapping
+    assert len(mapping) == 36
+    for elem, value in mapping.items():
+        i, part = elem.removeprefix("q_v").split("^")
+        assert value == f"a{int(i) - 1}|{int(i) - 1}^{part}"
+
+    no_cycle = digraph(["a0", "a1", "a2"], {("a0", "a1"), ("a1", "a0"), ("a1", "a2"), ("a2", "a2")})
+    red = q.reduce_hamiltonian(no_cycle, lift)
+    stats = q.SearchStats()
+    assert not q.eval_dnf_hom(red.sentence, red.structure, stats=stats)
+    assert stats.nodes == 2187
+
+
+def test_deep_search_needs_no_recursion():
+    # both go far past the interpreter's default recursion limit of 1,000
+    h = q.find_homomorphism(path_digraph(3000), cycle_digraph(2))
+    assert h is not None and q.verify_homomorphism(h)
+    edges = digraph(
+        [x for i in range(1200) for x in (f"a{i}", f"b{i}")],
+        {(f"a{i}", f"b{i}") for i in range(1200)},
+    )
+    stats = q.SearchStats()
+    h = q.find_homomorphism(edges, cycle_digraph(2), stats=stats)
+    assert h is not None and q.verify_homomorphism(h)
+    assert stats.nodes == 1200  # one level per edge
+
+
+def test_prepared_target_is_invisible_to_equality():
+    b = cycle_digraph(3)
+    twin = cycle_digraph(3)
+    assert q.find_homomorphism(cycle_digraph(6, "s"), b) is not None
+    assert b == twin
+    assert q.format_structure(b) == q.format_structure(twin)
 
 
 def test_search_is_deterministic():
