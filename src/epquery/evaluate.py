@@ -1,9 +1,9 @@
 """Model-checking strategies for first-order and existential positive sentences.
 
-Four routes to the same verdict: direct recursion over assignments, the
-bounded-variable bottom-up evaluator, reduction of each primitive positive
-disjunct to a homomorphism test, and the product-based round trip through
-the normalized disjunct set.
+Four routes to the same verdict: a walk over all assignments and the
+bounded-variable bottom-up evaluator, both on ``formulas.walk``'s stack;
+reduction of each primitive positive disjunct to a homomorphism test; and
+the product-based round trip through the normalized disjunct set.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ from .formulas import (
     Forall,
     Not,
     Or,
+    _free_sets,
     classify,
-    free_variables,
     structure_of_pp,
     subformulas,
+    walk,
 )
 from .homomorphism import find_homomorphism, hom_equivalent
 from .normalize import m_normalize, to_pp_disjunction
@@ -58,7 +59,7 @@ def _check_symbols(phi, b):
 
 
 def eval_naive(phi, b, *, max_work=10_000_000):
-    """Truth of a closed formula by recursion over all variable assignments.
+    """Truth of a closed formula by a walk over all variable assignments.
 
     The work estimate |B| ** (max free variables over subformulas) is checked
     against ``max_work`` before evaluation starts.  Each subformula's verdict
@@ -66,53 +67,55 @@ def eval_naive(phi, b, *, max_work=10_000_000):
     of those; that keeps the actual work proportional to the estimate even
     when quantifiers nest far deeper than the number of live variables.
     """
-    if free_variables(phi):
+    free_of = {key: tuple(sorted(names)) for key, names in _free_sets(subformulas(phi)).items()}
+    if free_of[id(phi)]:
         raise FragmentError("a closed sentence is required")
     _check_symbols(phi, b)
     size = len(b.universe)
     if size == 0:
         raise EpqError("evaluation needs a non-empty universe")
-    free_of = {id(f): tuple(sorted(free_variables(f))) for f in subformulas(phi)}
     if size ** max(map(len, free_of.values())) > max_work:
         raise LimitExceeded("naive evaluation work estimate", max_work)
 
-    env = {}
-    memo = {}
+    return walk(_truth(phi, b, {}, {}, free_of))
 
-    def rec(f):
-        if isinstance(f, Atom):
-            return tuple(env[x] for x in f.args) in b.relations[f.symbol]
-        if isinstance(f, Equality):
-            return env[f.left] == env[f.right]
-        key = (id(f), tuple(env[v] for v in free_of[id(f)]))
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(f, And):
-            verdict = all(rec(c) for c in f.children)
-        elif isinstance(f, Or):
-            verdict = any(rec(c) for c in f.children)
-        elif isinstance(f, Not):
-            verdict = not rec(f.child)
-        elif isinstance(f, (Exists, Forall)):
-            previous = env.get(f.var, _MISSING)
-            want_any = isinstance(f, Exists)
-            verdict = not want_any
-            for value in b.universe:
-                env[f.var] = value
-                if rec(f.child) == want_any:
-                    verdict = want_any
-                    break
-            if previous is _MISSING:
-                env.pop(f.var, None)
-            else:
-                env[f.var] = previous
-        else:
-            raise EpqError(f"not a formula node: {f!r}")
-        memo[key] = verdict
+
+def _truth(f, b, env, memo, free_of):
+    # Verdict of f under the assignment env, cached per assignment of its
+    # free variables.
+    kind = type(f)
+    if kind is Atom:
+        return tuple(env[x] for x in f.args) in b.relations[f.symbol]
+    if kind is Equality:
+        return env[f.left] == env[f.right]
+    key = (id(f), tuple(env[v] for v in free_of[id(f)]))
+    verdict = memo.get(key)
+    if verdict is not None:
         return verdict
-
-    return rec(phi)
+    if kind is Not:
+        verdict = not (yield _truth(f.child, b, env, memo, free_of))
+    elif kind is Exists or kind is Forall:
+        previous = env.get(f.var, _MISSING)
+        want_any = kind is Exists
+        verdict = not want_any
+        for value in b.universe:
+            env[f.var] = value
+            if (yield _truth(f.child, b, env, memo, free_of)) == want_any:
+                verdict = want_any
+                break
+        if previous is _MISSING:
+            del env[f.var]
+        else:
+            env[f.var] = previous
+    else:
+        want_any = kind is Or
+        verdict = not want_any
+        for c in f.children:
+            if (yield _truth(c, b, env, memo, free_of)) == want_any:
+                verdict = want_any
+                break
+    memo[key] = verdict
+    return verdict
 
 
 _MISSING = object()
@@ -167,67 +170,57 @@ def eval_kvar(phi, b, k, *, stats=None, max_rows=10_000_000):
     if not info.closed:
         raise FragmentError("a closed sentence is required")
     _check_symbols(phi, b)
-    universe = b.universe
-    seen_arity = 0
-
-    def note(vars_rows):
-        nonlocal seen_arity
-        seen_arity = max(seen_arity, len(vars_rows[0]))
-        return vars_rows
-
-    def rel(f):
-        if isinstance(f, Atom):
-            distinct, pattern = repetition_pattern(f.args)
-            rows = project_rows(b.relations[f.symbol], pattern)
-            ordered = tuple(sorted(distinct))
-            perm = [distinct.index(v) for v in ordered]
-            return note((ordered, {tuple(r[i] for i in perm) for r in rows}))
-        if isinstance(f, Equality):
-            if f.left == f.right:
-                return note(((f.left,), {(u,) for u in universe}))
-            ordered = tuple(sorted((f.left, f.right)))
-            return note((ordered, {(u, u) for u in universe}))
-        if isinstance(f, And):
-            va, ra = rel(f.children[0])
-            for c in f.children[1:]:
-                vb, rb = rel(c)
-                va, ra = _join(va, ra, vb, rb)
-            return note((va, ra))
-        if isinstance(f, Or):
-            parts = [rel(c) for c in f.children]
-            out_vars = tuple(sorted(set().union(*(set(v) for v, _ in parts))))
-            rows = set()
-            for va, ra in parts:
-                _, expanded = _expand(va, ra, out_vars, universe, max_rows)
-                rows |= expanded
-            return note((out_vars, rows))
-        if isinstance(f, Not):
-            va, ra = rel(f.child)
-            return note(_complement(va, ra, universe, max_rows))
-        if isinstance(f, Exists):
-            va, ra = rel(f.child)
-            if f.var not in va:
-                return note((va, ra))
-            idx = va.index(f.var)
-            out_vars = va[:idx] + va[idx + 1 :]
-            return note((out_vars, {row[:idx] + row[idx + 1 :] for row in ra}))
-        if isinstance(f, Forall):
-            va, ra = rel(f.child)
-            if f.var not in va:
-                return note((va, ra))
-            cv, cr = _complement(va, ra, universe, max_rows)
-            idx = cv.index(f.var)
-            pv = cv[:idx] + cv[idx + 1 :]
-            pr = {row[:idx] + row[idx + 1 :] for row in cr}
-            return note(_complement(pv, pr, universe, max_rows))
-        raise EpqError(f"not a formula node: {f!r}")
-
-    vars_final, rows = rel(phi)
+    widest = [0]
+    vars_final, rows = walk(_relation(phi, b, max_rows, widest))
     if stats is not None:
-        stats["max_arity"] = seen_arity
-    assert seen_arity <= k
+        stats["max_arity"] = widest[0]
+    assert widest[0] <= k
     assert vars_final == ()
     return bool(rows)
+
+
+def _relation(f, b, max_rows, widest):
+    # Satisfying assignments of f as (sorted free variables, set of rows);
+    # widest[0] keeps the largest arity seen.
+    kind = type(f)
+    universe = b.universe
+    if kind is Atom:
+        distinct, pattern = repetition_pattern(f.args)
+        rows = project_rows(b.relations[f.symbol], pattern)
+        va = tuple(sorted(distinct))
+        perm = [distinct.index(v) for v in va]
+        ra = {tuple(r[i] for i in perm) for r in rows}
+    elif kind is Equality:
+        va = tuple(sorted({f.left, f.right}))
+        ra = {(u,) * len(va) for u in universe}
+    elif kind is And:
+        va, ra = yield _relation(f.children[0], b, max_rows, widest)
+        for c in f.children[1:]:
+            vb, rb = yield _relation(c, b, max_rows, widest)
+            va, ra = _join(va, ra, vb, rb)
+    elif kind is Or:
+        parts = []
+        for c in f.children:
+            parts.append((yield _relation(c, b, max_rows, widest)))
+        va = tuple(sorted(set().union(*(set(v) for v, _ in parts))))
+        ra = set()
+        for vc, rc in parts:
+            ra |= _expand(vc, rc, va, universe, max_rows)[1]
+    else:
+        va, ra = yield _relation(f.child, b, max_rows, widest)
+        if kind is Not:
+            va, ra = _complement(va, ra, universe, max_rows)
+        elif f.var in va:
+            # forall x . g is equivalent to not (exists x . not g)
+            if kind is Forall:
+                va, ra = _complement(va, ra, universe, max_rows)
+            idx = va.index(f.var)
+            va = va[:idx] + va[idx + 1 :]
+            ra = {row[:idx] + row[idx + 1 :] for row in ra}
+            if kind is Forall:
+                va, ra = _complement(va, ra, universe, max_rows)
+    widest[0] = max(widest[0], len(va))
+    return va, ra
 
 
 def _some_disjunct_maps(disjuncts, b, max_nodes, stats):

@@ -127,6 +127,27 @@ def subformulas(f):
     return out
 
 
+def walk(gen):
+    """Run a recursive walker written as a generator, on an explicit stack.
+
+    Where a recursive function would call ``rec(c)``, the generator writes
+    ``(yield rec(c))`` and is resumed with the child's return value, so depth
+    is bounded by memory, not by Python's recursion limit.
+    """
+    stack = [gen]
+    value = None
+    while stack:
+        try:
+            child = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(child)
+            value = None
+    return value
+
+
 def _variable_set(nodes):
     names = set()
     for g in nodes:
@@ -253,38 +274,31 @@ class _Parser:
             raise ParseError(f"keyword {tok[1]!r} cannot be used as a {role} name", tok[2], tok[3])
         return tok[1]
 
+    # formula and unit are generators run by ``walk``.
     def formula(self):
         kind, value, _, _ = self.peek()
         if kind == "ident" and value in ("exists", "forall"):
             self.take()
             var = self.identifier("variable")
             self.expect(".")
-            body = self.formula()
+            body = yield self.formula()
             return Exists(var, body) if value == "exists" else Forall(var, body)
         if kind == "ident" and value == "not":
             self.take()
-            return Not(self.formula())
-        return self.disjunction()
-
-    def disjunction(self):
-        parts = [self.conjunction()]
-        while self.peek()[0] == "|":
-            self.take()
-            parts.append(self.conjunction())
-        return disj(parts)
-
-    def conjunction(self):
-        parts = [self.unit()]
-        while self.peek()[0] == "&":
-            self.take()
-            parts.append(self.unit())
-        return conj(parts)
+            return Not((yield self.formula()))
+        # '&' binds tighter than '|': one list of units per disjunct
+        disjuncts = [[(yield self.unit())]]
+        while self.peek()[0] in ("&", "|"):
+            if self.take()[0] == "|":
+                disjuncts.append([])
+            disjuncts[-1].append((yield self.unit()))
+        return disj([conj(units) for units in disjuncts])
 
     def unit(self):
         kind, value, line, col = self.peek()
         if kind == "(":
             self.take()
-            inner = self.formula()
+            inner = yield self.formula()
             self.expect(")")
             return inner
         name = self.identifier("predicate or variable")
@@ -317,38 +331,36 @@ class _Parser:
 def parse_formula(text, signature=None):
     """Parse a formula in the module grammar; raises ParseError with position."""
     parser = _Parser(_tokenize(text), signature)
-    formula = parser.formula()
+    formula = walk(parser.formula())
     trailing = parser.peek()
     if trailing[0] != "end":
         raise ParseError(f"unexpected trailing input {trailing[1]!r}", trailing[2], trailing[3])
     return formula
 
 
-def _unit_text(f):
-    text = render(f)
-    return text if isinstance(f, (Atom, Equality)) else f"({text})"
-
-
 def render(f):
     """Canonical text for a formula; parse(render(f)) is structurally f."""
-    if isinstance(f, Atom):
+    return walk(_render(f))
+
+
+def _render(f):
+    kind = type(f)
+    if kind is Atom:
         return f"{f.symbol}({','.join(f.args)})"
-    if isinstance(f, Equality):
+    if kind is Equality:
         return f"{f.left} = {f.right}"
-    if isinstance(f, Exists):
-        return f"exists {f.var} . {render(f.child)}"
-    if isinstance(f, Forall):
-        return f"forall {f.var} . {render(f.child)}"
-    if isinstance(f, Not):
-        inner = render(f.child)
-        if isinstance(f.child, (Atom, Equality)):
-            return f"not {inner}"
-        return f"not ({inner})"
-    if isinstance(f, And):
-        return " & ".join(_unit_text(c) for c in f.children)
-    if isinstance(f, Or):
-        return " | ".join(_unit_text(c) for c in f.children)
-    raise EpqError(f"not a formula node: {f!r}")
+    parts = []
+    for c in children(f):
+        text = yield _render(c)
+        bare = type(c) is Atom or type(c) is Equality or kind is Exists or kind is Forall
+        parts.append(text if bare else f"({text})")
+    if kind is And:
+        return " & ".join(parts)
+    if kind is Or:
+        return " | ".join(parts)
+    if kind is Not:
+        return f"not {parts[0]}"
+    return f"{'exists' if kind is Exists else 'forall'} {f.var} . {parts[0]}"
 
 
 _VAR_SAFE = frozenset(
@@ -418,34 +430,26 @@ def _fresh_name(base, taken):
     return f"{base}_{i}"
 
 
-def _alpha_rename(f):
+def _alpha_rename(g, env, taken, bound_seen):
     """Give every quantifier occurrence its own variable name, scope-aware."""
-    taken = set(variable_names(f))
-    bound_seen = set()
-
-    def walk(g, env):
-        if isinstance(g, Atom):
-            try:
-                return Atom(g.symbol, tuple(env[x] for x in g.args))
-            except KeyError as exc:
-                raise FragmentError(f"free variable {exc.args[0]!r} in a sentence") from None
-        if isinstance(g, Equality):
-            try:
-                return Equality(env[g.left], env[g.right])
-            except KeyError as exc:
-                raise FragmentError(f"free variable {exc.args[0]!r} in a sentence") from None
-        if isinstance(g, (Exists, Forall)):
-            if g.var in bound_seen:
-                new = _fresh_name(g.var, taken)
-                taken.add(new)
-            else:
-                new = g.var
-            bound_seen.add(new)
-            child = walk(g.child, {**env, g.var: new})
-            return type(g)(new, child)
-        return rebuild(g, [walk(c, env) for c in children(g)])
-
-    return walk(f, {})
+    kind = type(g)
+    if kind is Atom:
+        return Atom(g.symbol, tuple(env[x] for x in g.args))
+    if kind is Equality:
+        return Equality(env[g.left], env[g.right])
+    if kind is Exists or kind is Forall:
+        if g.var in bound_seen:
+            new = _fresh_name(g.var, taken)
+            taken.add(new)
+        else:
+            new = g.var
+        bound_seen.add(new)
+        child = yield _alpha_rename(g.child, {**env, g.var: new}, taken, bound_seen)
+        return kind(new, child)
+    kids = []
+    for c in children(g):
+        kids.append((yield _alpha_rename(c, env, taken, bound_seen)))
+    return rebuild(g, kids)
 
 
 def structure_of_pp(psi, signature=None):
@@ -460,27 +464,20 @@ def structure_of_pp(psi, signature=None):
         raise FragmentError("a primitive positive sentence is required")
     if not info.closed:
         raise FragmentError("a closed sentence is required")
-    renamed = _alpha_rename(psi)
+    renamed = walk(_alpha_rename(psi, {}, set(variable_names(psi)), set()))
 
+    # Preorder lists the quantified variables in quantifier-prefix order.
     quantified = []
     atoms = []
     equalities = []
-
-    def walk(g):
-        if isinstance(g, Exists):
+    for g in subformulas(renamed):
+        kind = type(g)
+        if kind is Exists:
             quantified.append(g.var)
-            walk(g.child)
-        elif isinstance(g, And):
-            for c in g.children:
-                walk(c)
-        elif isinstance(g, Atom):
+        elif kind is Atom:
             atoms.append(g)
-        elif isinstance(g, Equality):
+        elif kind is Equality:
             equalities.append((g.left, g.right))
-        else:
-            raise FragmentError("a primitive positive sentence is required")
-
-    walk(renamed)
 
     parent = {v: v for v in quantified}
 
@@ -548,6 +545,13 @@ def pp_entails(psi, psi_prime, *, signature=None, max_nodes=MAX_NODES, stats=Non
 
 def replace_atoms(f, fn):
     """Rebuild a formula with every predicate atom passed through ``fn``."""
-    if isinstance(f, Atom):
+    return walk(_replaced(f, fn))
+
+
+def _replaced(f, fn):
+    if type(f) is Atom:
         return fn(f)
-    return rebuild(f, [replace_atoms(c, fn) for c in children(f)])
+    kids = []
+    for c in children(f):
+        kids.append((yield _replaced(c, fn)))
+    return rebuild(f, kids)

@@ -24,6 +24,7 @@ from .formulas import (
     disj,
     formula_signature,
     structure_of_pp,
+    walk,
 )
 from .homomorphism import find_homomorphism, hom_equivalent
 
@@ -40,29 +41,30 @@ def to_pp_disjunction(phi, *, max_disjuncts=MAX_DISJUNCTS):
     if not info.closed:
         raise FragmentError("a closed sentence is required")
 
-    def dnf(f):
-        if isinstance(f, (Atom, Equality)):
-            return [f]
-        if isinstance(f, Or):
-            out = []
-            for c in f.children:
-                out.extend(dnf(c))
-                if len(out) > max_disjuncts:
-                    raise LimitExceeded("disjunct count", max_disjuncts)
-            return out
-        if isinstance(f, And):
-            lists = [dnf(c) for c in f.children]
-            count = 1
-            for lst in lists:
-                count *= len(lst)
-                if count > max_disjuncts:
-                    raise LimitExceeded("disjunct count", max_disjuncts)
-            return [conj(list(combo)) for combo in itertools.product(*lists)]
-        if isinstance(f, Exists):
-            return [Exists(f.var, d) for d in dnf(f.child)]
-        raise FragmentError("an existential positive sentence is required")
+    return walk(_dnf(phi, max_disjuncts))
 
-    return dnf(phi)
+
+def _dnf(f, max_disjuncts):
+    kind = type(f)
+    if kind is Atom or kind is Equality:
+        return [f]
+    if kind is Exists:
+        return [Exists(f.var, d) for d in (yield _dnf(f.child, max_disjuncts))]
+    if kind is Or:
+        out = []
+        for c in f.children:
+            out.extend((yield _dnf(c, max_disjuncts)))
+            if len(out) > max_disjuncts:
+                raise LimitExceeded("disjunct count", max_disjuncts)
+        return out
+    lists = []
+    count = 1
+    for c in f.children:
+        lists.append((yield _dnf(c, max_disjuncts)))
+        count *= len(lists[-1])
+        if count > max_disjuncts:
+            raise LimitExceeded("disjunct count", max_disjuncts)
+    return [conj(list(combo)) for combo in itertools.product(*lists)]
 
 
 def m_normalize(

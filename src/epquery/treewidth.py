@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MAX_CORE, MAX_EXACT_TW, MAX_NODES, EpqError, LimitExceeded, ParseError
-from .formulas import Atom, Equality, Exists, conj
+from .formulas import Atom, Equality, Exists, conj, walk
 
 @dataclass(frozen=True)
 class TreeDecomposition:
@@ -292,32 +292,32 @@ def pp_from_decomposition(a, d, k):
     pool = _variable_pool(k)
     rank = {elem: i for i, elem in enumerate(a.universe)}
 
-    def build(node, inherited):
-        bag = d.bags[node]
-        var_of = dict(inherited)
-        new_elems = sorted((e for e in bag if e not in var_of), key=rank.__getitem__)
-        free = [name for name in pool if name not in set(var_of.values())]
-        new_vars = []
-        for elem, name in zip(new_elems, free):
-            var_of[elem] = name
-            new_vars.append(name)
-        parts = [
-            Atom(sym, tuple(var_of[e] for e in t)) for sym, t in sorted(placed[node])
-        ]
-        for child in children[node]:
-            passed = {e: var_of[e] for e in bag & d.bags[child]}
-            parts.append(build(child, passed))
-        if parts:
-            body = conj(parts)
-        else:
-            anchor = next(iter(sorted(var_of.values())))
-            body = Equality(anchor, anchor)
-        out = body
-        for name in reversed(new_vars):
-            out = Exists(name, out)
-        return out
+    return walk(_pp_subtree(root, {}, d, children, placed, pool, rank))
 
-    return build(root, {})
+
+def _pp_subtree(node, inherited, d, children, placed, pool, rank):
+    # Sentence for the subtree at node, given the variable names that the
+    # parent bag passes down for the elements it shares with this bag.
+    bag = d.bags[node]
+    var_of = dict(inherited)
+    new_elems = sorted((e for e in bag if e not in var_of), key=rank.__getitem__)
+    free = [name for name in pool if name not in set(var_of.values())]
+    new_vars = []
+    for elem, name in zip(new_elems, free):
+        var_of[elem] = name
+        new_vars.append(name)
+    parts = [Atom(sym, tuple(var_of[e] for e in t)) for sym, t in sorted(placed[node])]
+    for child in children[node]:
+        passed = {e: var_of[e] for e in bag & d.bags[child]}
+        parts.append((yield _pp_subtree(child, passed, d, children, placed, pool, rank)))
+    if parts:
+        out = conj(parts)
+    else:
+        anchor = next(iter(sorted(var_of.values())))
+        out = Equality(anchor, anchor)
+    for name in reversed(new_vars):
+        out = Exists(name, out)
+    return out
 
 
 def decide_ppk(

@@ -6,6 +6,7 @@ enumerating every elimination order, satisfiability by enumerating every
 assignment.
 """
 
+import dataclasses
 import itertools
 
 import epquery as q
@@ -162,6 +163,21 @@ def random_pp_formula(rng, signature, max_vars=3, max_depth=3):
     for v in sorted(q.free_variables(sentence)):
         sentence = q.Exists(v, sentence)
     return sentence
+
+
+def formula_shape(f):
+    """Preorder list of (node type, child count, other fields); two formulas
+    are equal exactly when their shapes are.  Unlike ``==`` on the node
+    dataclasses, which recurses, this works at any nesting depth."""
+    return [
+        (type(g), len(q.children(g)))
+        + tuple(
+            getattr(g, field.name)
+            for field in dataclasses.fields(g)
+            if field.name not in ("child", "children")
+        )
+        for g in q.subformulas(f)
+    ]
 
 
 def random_labelled_digraph(rng, labels, max_size, prefix="b"):

@@ -2,6 +2,7 @@ import json
 
 import epquery as q
 from epquery.cli import main
+from helpers import formula_shape, path_digraph
 
 LOOP = "signature E/2\nuniverse a\ntuple E a a\n"
 EDGE = "signature E/2\nuniverse a b\ntuple E a b\n"
@@ -252,3 +253,34 @@ def test_limit_flag_and_env(tmp_path, capsys, monkeypatch):
     )
     assert code == 2
     assert "limit" in err
+
+
+def test_deep_path_queries_need_no_recursion(tmp_path, capsys):
+    # A 1,500-element directed path: its canonical query nests 1,500
+    # quantifiers, and its 2-variable form nests 1,500 parenthesised
+    # conjunctions, both past the interpreter's default recursion limit.
+    (tmp_path / "p.str").write_text(q.format_structure(path_digraph(1500)))
+    path = q.parse_structure((tmp_path / "p.str").read_text())
+    (tmp_path / "k2.str").write_text("signature E/2\nuniverse x y\ntuple E x y\ntuple E y x\n")
+    code, out, _ = _run(capsys, ["canonical-query", "--structure", str(tmp_path / "p.str")])
+    assert code == 0
+    assert formula_shape(q.parse_formula(out)) == formula_shape(q.canonical_query(path))
+    (tmp_path / "cq.epq").write_text(out)
+    code, out, _ = _run(
+        capsys,
+        ["eval", "--sentence", str(tmp_path / "cq.epq"), "--structure", str(tmp_path / "k2.str"),
+         "--strategy", "dnf-hom"],
+    )
+    assert (code, out.strip()) == (0, "true")
+
+    narrow = q.pp_from_decomposition(path, q.treewidth_upper(path)[1], 2)
+    text = q.render(narrow)
+    assert formula_shape(q.parse_formula(text)) == formula_shape(narrow)
+    (tmp_path / "narrow.epq").write_text(text + "\n")
+    for strategy in (["kvar", "--k", "2"], ["naive"]):
+        code, out, _ = _run(
+            capsys,
+            ["eval", "--sentence", str(tmp_path / "narrow.epq"),
+             "--structure", str(tmp_path / "k2.str"), "--strategy", *strategy],
+        )
+        assert (code, out.strip()) == (0, "true")

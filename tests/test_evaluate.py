@@ -61,6 +61,24 @@ def test_eval_naive_deep_nesting_with_few_live_variables():
     assert q.eval_naive(g, b, max_work=1000)
 
 
+def test_eval_naive_deep_quantifier_nest():
+    # 3,000 nested quantifiers, three times the default recursion limit
+    f = q.Atom("E", ("x", "x"))
+    for _ in range(3000):
+        f = q.Exists("x", f)
+    assert q.eval_naive(f, digraph(["a", "b"], {("b", "b")}))
+    assert not q.eval_naive(f, digraph(["a", "b"], {("a", "b")}))
+
+
+def test_evaluators_reject_non_formula_nodes():
+    junk = q.Exists("x", q.And((q.Atom("E", ("x", "x")), "E(x,x)")))
+    b = digraph(["a"], {("a", "a")})
+    with pytest.raises(q.EpqError, match="not a formula node"):
+        q.eval_naive(junk, b)
+    with pytest.raises(q.EpqError, match="not a formula node"):
+        q.eval_kvar(junk, b, 1)
+
+
 def test_eval_kvar_examples():
     two_cycle = digraph(["a", "b"], {("a", "b"), ("b", "a")})
     assert q.eval_kvar(q.parse_formula("exists x . exists y . E(x,y)"), two_cycle, 2)

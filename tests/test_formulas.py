@@ -58,6 +58,8 @@ def test_render_examples():
     assert q.render(q.Equality("x", "y")) == "x = y"
     nested = q.Or((q.And((q.Atom("P", ("x",)), q.Atom("Q", ("x",)))), q.Atom("P", ("y",))))
     assert q.render(nested) == "(P(x) & Q(x)) | P(y)"
+    with pytest.raises(q.EpqError, match="not a formula node"):
+        q.render(q.Not(q.Or((q.Atom("P", ("x",)), "Q(x)"))))
 
 
 ROUND_TRIP_TEXTS = [

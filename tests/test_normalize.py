@@ -74,6 +74,14 @@ def test_to_pp_disjunction_limit():
     assert len(q.to_pp_disjunction(base)) == 32
     with pytest.raises(q.LimitExceeded):
         q.to_pp_disjunction(base, max_disjuncts=16)
+    # the guard trips exactly past the count, for products and for unions
+    assert len(q.to_pp_disjunction(base, max_disjuncts=32)) == 32
+    with pytest.raises(q.LimitExceeded):
+        q.to_pp_disjunction(base, max_disjuncts=31)
+    union = q.parse_formula("exists x . (P(x) | (Q(x) & (P(x) | Q(x))) | Q(x))")
+    assert len(q.to_pp_disjunction(union, max_disjuncts=4)) == 4
+    with pytest.raises(q.LimitExceeded):
+        q.to_pp_disjunction(union, max_disjuncts=3)
 
 
 def test_m_normalize_absorbs_stronger_disjunct():

@@ -1,0 +1,106 @@
+"""Properties of the package as a whole: formula walkers leave no reference
+cycles behind, and no function recurses outside two bounded searches."""
+
+import ast
+import gc
+import pathlib
+
+import pytest
+
+import epquery as q
+from helpers import digraph
+
+SRC = pathlib.Path(q.__file__).parent
+
+B = digraph(["a", "b", "c"], {("a", "b"), ("b", "c"), ("c", "a")})
+TEXT = "exists x . exists y . (E(x,y) & (exists z . (E(y,z) | x = z)) & (exists x . E(y,x)))"
+PHI = q.parse_formula(TEXT)
+PP = q.parse_formula("exists x . exists y . exists z . (E(x,y) & E(y,z) & x = z)")
+PP_STRUCT = q.structure_of_pp(PP)
+
+CALLS = {
+    "eval_naive": lambda: q.eval_naive(PHI, B),
+    "eval_kvar": lambda: q.eval_kvar(PHI, B, 3),
+    "eval_dnf_hom": lambda: q.eval_dnf_hom(PHI, B),
+    "structure_of_pp": lambda: q.structure_of_pp(PP),
+    "render": lambda: q.render(PHI),
+    "parse_formula": lambda: q.parse_formula(TEXT),
+    "to_pp_disjunction": lambda: q.to_pp_disjunction(PHI),
+    "replace_atoms": lambda: q.replace_atoms(PHI, lambda atom: atom),
+    "pp_from_decomposition": lambda: q.pp_from_decomposition(
+        PP_STRUCT, q.treewidth_upper(PP_STRUCT)[1], 2
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_calls_leave_no_reference_cycles(name):
+    # Garbage that only the cyclic collector can free stays allocated until
+    # the next collection, which raises peak memory between collections.
+    CALLS[name]()  # warm: target tables are prepared and kept on first use
+    gc.collect()
+    gc.disable()
+    try:
+        CALLS[name]()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# Recursions whose depth the function's own guard bounds.
+BOUNDED_RECURSION = {
+    "treewidth.treewidth_exact.best",  # depth <= universe size <= max_universe (MAX_EXACT_TW, 20)
+    "structures.isomorphic.extend",  # depth <= universe size <= max_universe (12 by default)
+}
+
+
+def _self_calls(tree, module):
+    """Qualified names of functions that call themselves by name.
+
+    ``(yield rec(c))`` in a generator hands the child generator to
+    ``formulas.walk``, which runs it on an explicit stack: that is not a
+    recursive call and is not reported.
+    """
+    found = set()
+
+    def visit(node, qual):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{qual}.{child.name}"
+                handed_to_walk = {
+                    id(n.value) for n in ast.walk(child) if isinstance(n, ast.Yield)
+                }
+                for n in ast.walk(child):
+                    if not isinstance(n, ast.Call) or id(n) in handed_to_walk:
+                        continue
+                    f = n.func
+                    if isinstance(f, ast.Name) and f.id == child.name:
+                        found.add(name)
+                    if (isinstance(f, ast.Attribute) and f.attr == child.name
+                            and isinstance(f.value, ast.Name) and f.value.id == "self"):
+                        found.add(name)
+                visit(child, name)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{qual}.{child.name}")
+            else:
+                visit(child, qual)
+
+    visit(tree, module)
+    return found
+
+
+def test_no_function_recurses_outside_bounded_searches():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= _self_calls(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == BOUNDED_RECURSION
+
+
+def test_self_call_lint_sees_recursion():
+    tree = ast.parse(
+        "def rec(f):\n    return [rec(c) for c in f]\n"
+        "def gen(f):\n    for c in f:\n        yield gen(c)\n"
+        "def delegating(f):\n    for c in f:\n        yield from delegating(c)\n"
+        "class P:\n    def m(self):\n        return self.m()\n"
+    )
+    assert _self_calls(tree, "m") == {"m.rec", "m.delegating", "m.P.m"}
