@@ -16,47 +16,107 @@ are not the keywords exists/forall/not.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import MAX_NODES, EpqError, FragmentError, ParseError
+from .homomorphism import find_homomorphism
 from .structures import RelationSymbol, Signature, Structure
 
 
-@dataclass(frozen=True)
-class Atom:
+class _Node:
+    """``==``, ``hash`` and ``repr`` of the formula nodes, without recursion.
+
+    The generated dataclass methods recurse into subformulas and so fail on
+    deep nests.  These compare and hash the flat preorder key below, and
+    ``repr`` runs on ``walk``; its text is the dataclass one.
+    """
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return _preorder_key(self) == _preorder_key(other)
+
+    def __hash__(self):
+        return hash(_preorder_key(self))
+
+    def __repr__(self):
+        return walk(_node_repr(self))
+
+
+def _preorder_key(f):
+    # Per node in preorder: its type, subformula count and other fields; a
+    # value that is not a node is its own entry.
+    out = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if not isinstance(g, _Node):
+            out.append(g)
+            continue
+        kids = children(g)
+        own = (getattr(g, x.name) for x in fields(g) if x.name not in ("child", "children"))
+        out.append((type(g), len(kids), *own))
+        stack.extend(reversed(kids))
+    return tuple(out)
+
+
+def _node_repr(g):
+    if not isinstance(g, _Node):
+        return repr(g)
+    parts = []
+    for field in fields(g):
+        value = getattr(g, field.name)
+        if field.name == "child":
+            text = yield _node_repr(value)
+        elif field.name == "children" and type(value) is tuple:
+            texts = []
+            for c in value:
+                texts.append((yield _node_repr(c)))
+            text = f"({', '.join(texts)}{',' if len(texts) == 1 else ''})"
+        else:
+            text = repr(value)
+        parts.append(f"{field.name}={text}")
+    return f"{type(g).__qualname__}({', '.join(parts)})"
+
+
+_node = dataclass(frozen=True, eq=False, repr=False)
+
+
+@_node
+class Atom(_Node):
     symbol: str
     args: tuple
 
 
-@dataclass(frozen=True)
-class Equality:
+@_node
+class Equality(_Node):
     left: str
     right: str
 
 
-@dataclass(frozen=True)
-class And:
+@_node
+class And(_Node):
     children: tuple
 
 
-@dataclass(frozen=True)
-class Or:
+@_node
+class Or(_Node):
     children: tuple
 
 
-@dataclass(frozen=True)
-class Not:
+@_node
+class Not(_Node):
     child: object
 
 
-@dataclass(frozen=True)
-class Exists:
+@_node
+class Exists(_Node):
     var: str
     child: object
 
 
-@dataclass(frozen=True)
-class Forall:
+@_node
+class Forall(_Node):
     var: str
     child: object
 
@@ -515,29 +575,14 @@ def structure_of_pp(psi, signature=None):
     return Structure(signature, tuple(universe), relations)
 
 
-def joint_signature(*formulas):
-    """Common signature of several formulas; arities must agree."""
-    arities = {}
-    for f in formulas:
-        for sym in formula_signature(f):
-            seen = arities.get(sym.name)
-            if seen is None:
-                arities[sym.name] = sym.arity
-            elif seen != sym.arity:
-                raise EpqError(f"symbol {sym.name!r} used with arities {seen} and {sym.arity}")
-    return Signature([RelationSymbol(n, a) for n, a in arities.items()])
-
-
 def pp_entails(psi, psi_prime, *, signature=None, max_nodes=MAX_NODES, stats=None):
     """Entailment between primitive positive sentences via homomorphism.
 
     ``psi`` entails ``psi_prime`` exactly when the structure of ``psi_prime``
     maps homomorphically into the structure of ``psi``.
     """
-    from .homomorphism import find_homomorphism
-
     if signature is None:
-        signature = joint_signature(psi, psi_prime)
+        signature = formula_signature(And((psi, psi_prime)))
     left = structure_of_pp(psi, signature)
     right = structure_of_pp(psi_prime, signature)
     return find_homomorphism(right, left, max_nodes=max_nodes, stats=stats) is not None

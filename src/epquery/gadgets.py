@@ -34,7 +34,7 @@ from .structures import (
     labelled_signature,
     product,
 )
-from .treewidth import TreeDecomposition, validate_decomposition
+from .treewidth import TreeDecomposition, pp_from_decomposition, validate_decomposition
 
 
 def _tag(base, suffix):
@@ -174,8 +174,6 @@ def hamiltonian_sentence_ep6(n, *, max_n=4):
     disjunct uses at most six variable names.  There are n**n maps, hence the
     guard on n.
     """
-    from .treewidth import pp_from_decomposition
-
     if n < 2:
         raise EpqError("need n >= 2")
     if n > max_n:
@@ -477,34 +475,24 @@ def reduce_sat(cnf, mode="two-symbols", arity=2):
     elif mode == "unary":
         symbols = []
         relations = {}
-        for i in range(1, len(cnf.clauses) + 1):
-            clause = cnf.clauses[i - 1]
+        clause_formulas = []
+        for i, clause in enumerate(cnf.clauses, start=1):
+            slots = []
             for j in range(1, n + 1):
                 name = f"R{j}^{i}"
                 symbols.append(RelationSymbol(name, 1))
-                values = set()
-                if j in clause:
-                    values.add(("1",))
-                if -j in clause:
-                    values.add(("0",))
-                relations[name] = values
+                relations[name] = {(value,) for value, lit in (("1", j), ("0", -j)) if lit in clause}
+                slots.append(Atom(name, (var(j),)))
+            clause_formulas.append(disj(slots))
         signature = Signature(symbols)
-        clause_formulas = [
-            disj([Atom(f"R{j}^{i}", (var(j),)) for j in range(1, n + 1)])
-            for i in range(1, len(cnf.clauses) + 1)
-        ]
-        body = conj(clause_formulas) if clause_formulas else Equality(var(1), var(1))
-        sentence = body
-        for j in range(n, 0, -1):
-            sentence = Exists(var(j), sentence)
-        return Instance(sentence, Structure(signature, ("0", "1"), relations))
     else:
         raise EpqError(f"unknown mode {mode!r}")
 
-    clause_formulas = [
-        disj([literal_formula(lit) for lit in _sorted_literals(clause)])
-        for clause in cnf.clauses
-    ]
+    if mode != "unary":
+        clause_formulas = [
+            disj([literal_formula(lit) for lit in _sorted_literals(clause)])
+            for clause in cnf.clauses
+        ]
     body = conj(clause_formulas) if clause_formulas else Equality(var(1), var(1))
     sentence = body
     for j in range(n, 0, -1):

@@ -10,6 +10,8 @@ first is fixed.  Blocks are never merged or minimized.
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass
 
 from .errors import EpqError, LimitExceeded, ParseError, SignatureMismatch
@@ -78,8 +80,6 @@ def gdnf_product(g, h):
 
 def gdnf_to_explicit(g, *, max_tuples=1_000_000):
     """Expand to a set of tuples, guarding against an oversized result."""
-    import itertools
-
     estimate = 0
     for block in g.blocks:
         size = 1
@@ -165,8 +165,6 @@ def gdnf_structure_product(g, h):
 def parse_gdnf(text):
     """Parse the block format; 'arity' and 'universe' header lines are optional
     when at least one block fixes them."""
-    import re
-
     arity = None
     universe = None
     block_specs = []

@@ -277,11 +277,14 @@ def find_retraction(a, subset, *, max_nodes=MAX_NODES, stats=None):
 def core(a, *, max_universe=MAX_CORE, max_nodes=MAX_NODES, stats=None):
     """Smallest substructure that is homomorphically equivalent to ``a``.
 
-    Greedy element removal in universe order.  A removal is justified by any
-    homomorphism into the complement, not only by a retraction fixing the
-    complement pointwise: a structure can admit no single-element retraction
-    yet still have a proper retract (disjoint 2-cycle plus 6-cycle), while a
-    homomorphic collapse always exposes some removable element.  The final
+    Greedy element removal, one pass in universe order.  A removal is
+    justified by any homomorphism into the complement, not only by a
+    retraction fixing the complement pointwise: a structure can admit no
+    single-element retraction yet still have a proper retract (disjoint
+    2-cycle plus 6-cycle), while a homomorphic collapse always exposes some
+    removable element.  One pass is enough: if C has no homomorphism into
+    C - {e}, then no later C' within C has one into C' - {e}, or else
+    C -> C' -> C' - {e} would map C into C - {e}.  So the final
     structure admits no homomorphism into any proper induced substructure,
     hence is a core, and the composition of the removal steps retracts ``a``
     onto it.
@@ -289,13 +292,10 @@ def core(a, *, max_universe=MAX_CORE, max_nodes=MAX_NODES, stats=None):
     if len(a.universe) > max_universe:
         raise LimitExceeded("core universe size", max_universe)
     current = a
-    while len(current.universe) > 1:
-        for elem in current.universe:
-            rest = [e for e in current.universe if e != elem]
-            candidate = induced_substructure(current, rest)
-            if find_homomorphism(current, candidate, max_nodes=max_nodes, stats=stats) is not None:
-                current = candidate
-                break
-        else:
+    for elem in a.universe:
+        if len(current.universe) == 1:
             break
+        candidate = induced_substructure(current, [e for e in current.universe if e != elem])
+        if find_homomorphism(current, candidate, max_nodes=max_nodes, stats=stats) is not None:
+            current = candidate
     return current

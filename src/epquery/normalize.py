@@ -26,7 +26,7 @@ from .formulas import (
     structure_of_pp,
     walk,
 )
-from .homomorphism import find_homomorphism, hom_equivalent
+from .homomorphism import find_homomorphism
 
 
 def to_pp_disjunction(phi, *, max_disjuncts=MAX_DISJUNCTS):
@@ -77,37 +77,28 @@ def m_normalize(
     entails a disjunct outside the class.  Every dropped disjunct entails
     some kept representative, so the disjunction of the result is equivalent
     to the input, and distinct representatives never entail each other.
+    Grouping and the filter share one table, so no entailment between two
+    disjuncts is decided twice.
     """
     disjuncts = to_pp_disjunction(phi, max_disjuncts=max_disjuncts)
     if signature is None:
         signature = formula_signature(phi)
     structs = [structure_of_pp(d, signature) for d in disjuncts]
-
-    class_reps = []  # index of the first-generated member of each class
-    for i, struct in enumerate(structs):
-        for rep in class_reps:
-            if hom_equivalent(struct, structs[rep], max_nodes=max_nodes, stats=stats):
-                break
-        else:
-            class_reps.append(i)
-
-    hom_cache = {}
+    cache = {}
 
     def entails(i, j):
         # disjunct i entails disjunct j iff struct(j) maps into struct(i)
-        key = (i, j)
-        if key not in hom_cache:
-            hom_cache[key] = (
-                find_homomorphism(structs[j], structs[i], max_nodes=max_nodes, stats=stats)
-                is not None
-            )
-        return hom_cache[key]
+        if (i, j) not in cache:
+            found = find_homomorphism(structs[j], structs[i], max_nodes=max_nodes, stats=stats)
+            cache[i, j] = found is not None
+        return cache[i, j]
 
-    kept = []
-    for rep in class_reps:
-        if all(other == rep or not entails(rep, other) for other in class_reps):
-            kept.append(disjuncts[rep])
-    return kept
+    reps = []  # the first-generated member of each equivalence class
+    for i in range(len(structs)):
+        if not any(entails(rep, i) and entails(i, rep) for rep in reps):
+            reps.append(i)
+    return [disjuncts[rep] for rep in reps
+            if not any(other != rep and entails(rep, other) for other in reps)]
 
 
 def _little_sentence(symbols):

@@ -7,10 +7,12 @@ decomposition covers every tuple and the two width notions coincide.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import MAX_CORE, MAX_EXACT_TW, MAX_NODES, EpqError, LimitExceeded, ParseError
-from .formulas import Atom, Equality, Exists, conj, walk
+from .formulas import Atom, Equality, Exists, conj, structure_of_pp, walk
+from .homomorphism import core
 
 @dataclass(frozen=True)
 class TreeDecomposition:
@@ -143,19 +145,14 @@ def decomposition_from_order(a, order):
 
     node_ids = [f"t{i}" for i in range(len(order))]
     edges = []
-    has_parent_link = []
+    loose = []  # the last node of each connected piece of the graph
     for i, (elem, bag) in enumerate(bags):
         rest = bag - {elem}
         if rest:
-            j = min(position[u] for u in rest)
-            edges.append((node_ids[i], node_ids[j]))
-            has_parent_link.append(True)
+            edges.append((node_ids[i], node_ids[min(position[u] for u in rest)]))
         else:
-            has_parent_link.append(False)
-    # one component per connected piece of the graph; chain the loose ends
-    loose = [node_ids[i] for i in range(len(bags)) if not has_parent_link[i]]
-    for first, second in zip(loose, loose[1:]):
-        edges.append((first, second))
+            loose.append(node_ids[i])
+    edges += zip(loose, loose[1:])  # chain the pieces
     return TreeDecomposition(
         tuple(node_ids), tuple(edges), {node_ids[i]: bags[i][1] for i in range(len(bags))}
     )
@@ -165,8 +162,9 @@ def treewidth_exact(a, *, max_universe=MAX_EXACT_TW):
     """Optimal width plus a witnessing decomposition, by subset dynamic programming.
 
     States are sets of already-eliminated elements; the cost of eliminating v
-    after a set is its forward degree through that set.  Exponential in the
-    universe size, hence the guard.
+    after a set is its forward degree through that set.  The table is filled
+    bottom up, one bitmask after another, and the order is read back from it.
+    Exponential in the universe size, hence the guard.
     """
     n = len(a.universe)
     if n == 0:
@@ -179,37 +177,26 @@ def treewidth_exact(a, *, max_universe=MAX_EXACT_TW):
         for u in neigh:
             adj_masks[index[elem]] |= 1 << index[u]
 
-    memo = {0: -1}
+    def cost(mask, v):
+        # width of eliminating v last among mask, the rest of mask optimally before it
+        rest = mask & ~(1 << v)
+        return max(best[rest], _elimination_cost(adj_masks, rest, v))
 
-    def best(mask):
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        out = n
-        for v in _bits(mask):
-            rest = mask & ~(1 << v)
-            out = min(out, max(best(rest), _elimination_cost(adj_masks, rest, v)))
-        memo[mask] = out
-        return out
-
+    # best[mask] is the least width of eliminating exactly the elements of
+    # mask first; each subset of mask is a smaller index, so it is filled already.
     full = (1 << n) - 1
-    width = best(full)
+    best = [-1] * (full + 1)
+    for mask in range(1, full + 1):
+        best[mask] = min(cost(mask, v) for v in _bits(mask))
 
     order_rev = []
     mask = full
     while mask:
-        pick = None
-        pick_cost = None
-        for v in _bits(mask):
-            rest = mask & ~(1 << v)
-            cost = max(best(rest), _elimination_cost(adj_masks, rest, v))
-            if pick is None or cost < pick_cost:
-                pick, pick_cost = v, cost
+        pick = min(_bits(mask), key=lambda v: cost(mask, v))  # first minimum wins
         order_rev.append(pick)
         mask &= ~(1 << pick)
     order = [a.universe[v] for v in reversed(order_rev)]
-    witness = decomposition_from_order(a, order)
-    return width, witness
+    return best[full], decomposition_from_order(a, order)
 
 
 def treewidth_upper(a):
@@ -218,18 +205,9 @@ def treewidth_upper(a):
     position = {elem: i for i, elem in enumerate(a.universe)}
     order = []
     while adj:
-        best_elem = None
-        best_key = None
-        for elem, neigh in adj.items():
-            fill = 0
-            ns = list(neigh)
-            for i, u in enumerate(ns):
-                for w in ns[i + 1 :]:
-                    if w not in adj[u]:
-                        fill += 1
-            key = (fill, position[elem])
-            if best_key is None or key < best_key:
-                best_elem, best_key = elem, key
+        # fewest fill edges, then earliest in the universe
+        best_elem = min(adj, key=lambda e: (
+            sum(w not in adj[u] for u, w in itertools.combinations(adj[e], 2)), position[e]))
         _eliminate(adj, best_elem)
         order.append(best_elem)
     witness = decomposition_from_order(a, order)
@@ -328,9 +306,6 @@ def decide_ppk(
     Equivalent to the core of the sentence's induced structure having
     treewidth below k.
     """
-    from .formulas import structure_of_pp
-    from .homomorphism import core
-
     struct = structure_of_pp(psi, signature)
     small = core(struct, max_universe=max_core, max_nodes=max_nodes)
     width, _ = treewidth_exact(small, max_universe=max_exact_tw)

@@ -3,10 +3,11 @@
 The oracles here deliberately avoid the library's search code paths:
 homomorphism existence is decided by enumerating every map, treewidth by
 enumerating every elimination order, satisfiability by enumerating every
-assignment.
+assignment.  The two reference versions at the end (``restart_core`` and
+``two_phase_m_normalize``) do use the search: they are the earlier, plainer
+control flow of ``core`` and ``m_normalize``, kept to pin their outputs.
 """
 
-import dataclasses
 import itertools
 
 import epquery as q
@@ -165,21 +166,6 @@ def random_pp_formula(rng, signature, max_vars=3, max_depth=3):
     return sentence
 
 
-def formula_shape(f):
-    """Preorder list of (node type, child count, other fields); two formulas
-    are equal exactly when their shapes are.  Unlike ``==`` on the node
-    dataclasses, which recurses, this works at any nesting depth."""
-    return [
-        (type(g), len(q.children(g)))
-        + tuple(
-            getattr(g, field.name)
-            for field in dataclasses.fields(g)
-            if field.name not in ("child", "children")
-        )
-        for g in q.subformulas(f)
-    ]
-
-
 def random_labelled_digraph(rng, labels, max_size, prefix="b"):
     sig = q.labelled_signature(labels)
     n = rng.randint(1, max_size)
@@ -238,3 +224,35 @@ def all_two_vertex_digraphs():
     pairs = [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
     for mask in range(16):
         yield digraph(names, {pairs[i] for i in range(4) if mask >> i & 1})
+
+
+def restart_core(a):
+    """Reference ``core``: after each removal, rescan from the first element."""
+    current = a
+    while len(current.universe) > 1:
+        for elem in current.universe:
+            candidate = q.induced_substructure(current, [e for e in current.universe if e != elem])
+            if q.find_homomorphism(current, candidate) is not None:
+                current = candidate
+                break
+        else:
+            break
+    return current
+
+
+def two_phase_m_normalize(phi):
+    """Reference ``m_normalize``: group by ``hom_equivalent``, then filter the
+    class representatives with a separate entailment table."""
+    disjuncts = q.to_pp_disjunction(phi)
+    signature = q.formula_signature(phi)
+    structs = [q.structure_of_pp(d, signature) for d in disjuncts]
+    reps = []
+    for i, struct in enumerate(structs):
+        if not any(q.hom_equivalent(struct, structs[rep]) for rep in reps):
+            reps.append(i)
+
+    def entails(i, j):
+        return q.find_homomorphism(structs[j], structs[i]) is not None
+
+    return [disjuncts[rep] for rep in reps
+            if all(other == rep or not entails(rep, other) for other in reps)]

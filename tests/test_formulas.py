@@ -240,3 +240,50 @@ def test_formula_signature_inference():
         q.formula_signature(q.conj([q.Atom("E", ("x",)), q.Atom("E", ("x", "y"))]))
     with pytest.raises(q.EpqError, match="not a formula node"):
         q.formula_signature(q.And((q.Atom("P", ("x",)), "Q(x)")))
+
+
+def test_pp_entails_rejects_arity_clash():
+    one = q.parse_formula("exists x . E(x)")
+    two = q.parse_formula("exists x . exists y . E(x,y)")
+    with pytest.raises(q.EpqError, match="arities 1 and 2"):
+        q.pp_entails(one, two)
+
+
+def test_node_repr_is_the_dataclass_text():
+    assert repr(q.And((q.Atom("P", ("x",)),))) == "And(children=(Atom(symbol='P', args=('x',)),))"
+    assert repr(q.Or((q.Equality("x", "y"), q.Not(q.Atom("Q", ()))))) == (
+        "Or(children=(Equality(left='x', right='y'), Not(child=Atom(symbol='Q', args=()))))"
+    )
+    assert repr(q.Forall("x", q.And(()))) == "Forall(var='x', child=And(children=()))"
+    # a value that is not a node prints as itself
+    assert repr(q.And((q.Atom("P", ("x",)), "Q(x)"))) == (
+        "And(children=(Atom(symbol='P', args=('x',)), 'Q(x)'))"
+    )
+
+
+def test_node_equality_compares_type_and_fields():
+    p = q.Atom("P", ("x",))
+    assert q.Exists("x", p) == q.Exists("x", q.Atom("P", ("x",)))
+    assert q.Exists("x", p) != q.Forall("x", p)
+    assert q.Exists("x", p) != q.Exists("y", p)
+    assert q.And((p, p)) != q.Or((p, p))
+    assert q.And((p, p)) != q.And((p,))
+    assert q.And((q.And((p,)), p)) != q.And((q.And((p, p)),))
+    assert p != ("P", ("x",))
+    assert len({q.And((p, p)), q.conj([p, p]), q.Or((p, p))}) == 2
+
+
+def test_deep_nest_equality_hash_and_repr():
+    # 2,000 nested quantifiers: past the recursion limit of the generated
+    # dataclass methods, which compared, hashed and printed recursively.
+    f = q.Atom("P", ("x",))
+    for _ in range(2000):
+        f = q.Exists("x", f)
+    g = q.parse_formula(q.render(f))
+    assert g == f
+    assert not g != f
+    assert hash(g) == hash(f)
+    assert g != q.Exists("x", q.Exists("y", f.child.child))
+    assert repr(f) == (
+        "Exists(var='x', child=" * 2000 + "Atom(symbol='P', args=('x',))" + ")" * 2000
+    )

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import epquery as q
+from epquery import homomorphism
 from helpers import (
     E2,
     all_structures,
@@ -13,6 +14,7 @@ from helpers import (
     digraph,
     path_digraph,
     random_structure,
+    restart_core,
 )
 
 
@@ -319,3 +321,42 @@ def test_stats_counts_nodes():
     b = digraph(["x", "y"], set())
     q.find_homomorphism(a, b, stats=stats)
     assert stats.nodes > 0
+
+
+def test_core_matches_restarted_scan():
+    # One pass gives the same substructure as rescanning after each removal.
+    mixed = q.Signature(
+        [q.RelationSymbol("P", 1), q.RelationSymbol("E", 2), q.RelationSymbol("T", 3)]
+    )
+    rng = random.Random(71)
+    for _ in range(60):
+        sig = rng.choice([E2, mixed])
+        density = rng.choice([0.05, 0.1, 0.2]) if sig is mixed else rng.choice([0.1, 0.2, 0.3])
+        a = random_structure(rng, sig, 8, density=density)
+        assert q.core(a) == restart_core(a)
+
+
+def test_core_makes_one_pass(monkeypatch):
+    # A directed triangle, then 5 disjoint edges: each edge element goes, the
+    # triangle stays.  Rescanning after each of the 10 removals re-tests the
+    # three triangle elements every time: 43 searches instead of 13.
+    triangle = cycle_digraph(3, "t")
+    pairs = [(f"a{i}", f"b{i}") for i in range(5)]
+    a = digraph(
+        triangle.universe + tuple(x for pair in pairs for x in pair),
+        set(triangle.relations["E"]) | set(pairs),
+    )
+    calls = []
+    real = homomorphism.find_homomorphism
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(homomorphism, "find_homomorphism", counted)
+    monkeypatch.setattr(q, "find_homomorphism", counted)
+    assert restart_core(a) == triangle
+    assert len(calls) == 43
+    calls.clear()
+    assert q.core(a) == triangle
+    assert len(calls) <= 13

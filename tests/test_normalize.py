@@ -4,7 +4,8 @@ import random
 import pytest
 
 import epquery as q
-from helpers import all_structures, random_ep_formula
+from epquery import homomorphism, normalize
+from helpers import all_structures, random_ep_formula, two_phase_m_normalize
 
 EPQ_SIG = q.Signature(
     [q.RelationSymbol("E", 2), q.RelationSymbol("P", 1), q.RelationSymbol("Q", 1)]
@@ -119,6 +120,28 @@ def test_m_normalize_properties_random():
             assert any(
                 q.pp_entails(disjunct, keeper, signature=EPQ_SIG) for keeper in kept
             )
+
+
+def test_m_normalize_matches_two_phase_reference(monkeypatch):
+    # Grouping and filtering share one entailment table: the same kept
+    # disjuncts as grouping by hom_equivalent first, and no search repeated.
+    searches = []
+    real = homomorphism.find_homomorphism
+
+    def counted(source, target, **kwargs):
+        searches.append((id(source), id(target)))
+        return real(source, target, **kwargs)
+
+    # hom_equivalent looks the search up in the homomorphism module
+    monkeypatch.setattr(normalize, "find_homomorphism", counted)
+    monkeypatch.setattr(homomorphism, "find_homomorphism", counted)
+    rng = random.Random(83)
+    sentences = [random_ep_formula(rng, EPQ_SIG, max_vars=4, max_depth=5) for _ in range(60)]
+    for f in sentences + [q.hamiltonian_sentence(2)]:
+        expected = two_phase_m_normalize(f)
+        searches.clear()
+        assert q.m_normalize(f) == expected
+        assert len(searches) == len(set(searches))
 
 
 def test_compile_unary_single_atom():

@@ -1,5 +1,5 @@
 """Properties of the package as a whole: formula walkers leave no reference
-cycles behind, and no function recurses outside two bounded searches."""
+cycles behind, and no function recurses outside one bounded search."""
 
 import ast
 import gc
@@ -49,7 +49,6 @@ def test_calls_leave_no_reference_cycles(name):
 
 # Recursions whose depth the function's own guard bounds.
 BOUNDED_RECURSION = {
-    "treewidth.treewidth_exact.best",  # depth <= universe size <= max_universe (MAX_EXACT_TW, 20)
     "structures.isomorphic.extend",  # depth <= universe size <= max_universe (12 by default)
 }
 

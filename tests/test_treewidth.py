@@ -66,10 +66,19 @@ def test_treewidth_exact_known_values():
 
 def test_treewidth_exact_matches_elimination_oracle_random():
     rng = random.Random(59)
-    for _ in range(40):
-        s = random_structure(rng, E2, 5)
+    structures = [random_structure(rng, E2, 5) for _ in range(40)]
+    # seeded graphs on six and seven elements, widths 1 to 4, against all
+    # 720 or 5,040 elimination orders
+    rng = random.Random(61)
+    for size in (6, 7):
+        for density in (0.2, 0.4, 0.6, 0.8):
+            universe = tuple(f"v{i}" for i in range(size))
+            edges = {(x, y) for x in universe for y in universe if x < y and rng.random() < density}
+            structures.append(digraph(universe, edges))
+    for s in structures:
         width, witness = q.treewidth_exact(s)
         assert width == exhaustive_treewidth(s)
+        assert witness.width() == width
         assert q.validate_decomposition(s, witness)
 
 
