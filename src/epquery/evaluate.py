@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
     MAX_DISJUNCTS,
@@ -121,27 +122,68 @@ def _truth(f, b, env, memo, free_of):
 _MISSING = object()
 
 
-def _join(va, ra, vb, rb):
-    out_vars = tuple(sorted(set(va) | set(vb)))
-    pa = {v: i for i, v in enumerate(va)}
-    pb = {v: i for i, v in enumerate(vb)}
-    shared = [v for v in va if v in pb]
+def _columns(positions):
+    # The entries of a row at ``positions``, always as a tuple.
+    if len(positions) == 1:
+        (p,) = positions
+        return lambda row: (row[p],)
+    return itemgetter(*positions) if positions else lambda row: ()
+
+
+class _KvarRun:
+    """What one ``eval_kvar`` call shares between its walker frames."""
+
+    def __init__(self, b, max_rows, free):
+        self.b = b
+        self.max_rows = max_rows
+        self.free = free  # id(node) -> free variables
+        self.atoms = {}  # (symbol, repetition pattern, column order) -> rows
+        self.widest = 0
+        self.joins = 0
+        self.rows_max = 0
+
+    def built(self, va, ra):
+        self.rows_max = max(self.rows_max, len(ra))
+        return va, ra
+
+
+def _join(va, ra, vb, rb, run):
+    # Natural join over the sorted union of the variables.  Distinct input
+    # rows give distinct output rows, so the output grows with every match.
+    run.joins += 1
+    sa, sb = set(va), set(vb)
+    if sa < sb or (sa == sb and len(ra) > len(rb)):
+        va, ra, vb, rb, sa, sb = vb, rb, va, ra, sb, sa
+    shared = [v for v in va if v in sb]
+    key_a = _columns([va.index(v) for v in shared])
+    key_b = _columns([vb.index(v) for v in shared])
+    if sb <= sa:  # the join only filters ra
+        keys = set(map(key_b, rb))
+        return run.built(va, {row for row in ra if key_a(row) in keys})
+    out_vars = tuple(sorted(sa | sb))
+    where = {v: len(va) + i for i, v in enumerate(vb)}
+    where.update((v, i) for i, v in enumerate(va))
+    pick = _columns([where[v] for v in out_vars])
     index = {}
     for row in rb:
-        index.setdefault(tuple(row[pb[v]] for v in shared), []).append(row)
+        index.setdefault(key_b(row), []).append(row)
     out = set()
     for row in ra:
-        for match in index.get(tuple(row[pa[v]] for v in shared), ()):
-            out.add(tuple(row[pa[v]] if v in pa else match[pb[v]] for v in out_vars))
-    return out_vars, out
+        matches = index.get(key_a(row))
+        if matches:
+            out.update(pick(row + match) for match in matches)
+            if len(out) > run.max_rows:
+                raise LimitExceeded("bounded-variable relation size", run.max_rows)
+    return run.built(out_vars, out)
 
 
-def _expand(va, ra, out_vars, universe, max_rows):
+def _expand(va, ra, out_vars, run):
     missing = [v for v in out_vars if v not in va]
     if not missing and out_vars == va:
         return va, set(ra)
-    if len(ra) * len(universe) ** len(missing) > max_rows:
-        raise LimitExceeded("bounded-variable relation size", max_rows)
+    universe = run.b.universe
+    if len(ra) * len(universe) ** len(missing) > run.max_rows:
+        raise LimitExceeded("bounded-variable relation size", run.max_rows)
     pa = {v: i for i, v in enumerate(va)}
     out = set()
     for row in ra:
@@ -151,18 +193,37 @@ def _expand(va, ra, out_vars, universe, max_rows):
     return tuple(out_vars), out
 
 
-def _complement(va, ra, universe, max_rows):
-    if len(universe) ** len(va) > max_rows:
-        raise LimitExceeded("bounded-variable relation size", max_rows)
-    return va, set(itertools.product(universe, repeat=len(va))) - ra
+def _complement(va, ra, run):
+    universe = run.b.universe
+    if len(universe) ** len(va) > run.max_rows:
+        raise LimitExceeded("bounded-variable relation size", run.max_rows)
+    return run.built(va, set(itertools.product(universe, repeat=len(va))) - ra)
 
 
 def eval_kvar(phi, b, k, *, stats=None, max_rows=10_000_000):
     """Bottom-up evaluation computing satisfying assignments per subformula.
 
     Each intermediate relation ranges over the free variables of its
-    subformula, so its arity never exceeds k; ``stats['max_arity']`` records
-    the largest arity actually seen.
+    subformula, so its arity never exceeds k.  A conjunction is planned:
+
+    - its compound children are evaluated first, one at a time, then its
+      atoms and equalities;
+    - a part whose variables contain, or lie within, those of a part still
+      pending is joined with it at once, which only filters;
+    - at the first empty part the conjunction is empty, and its remaining
+      children are not evaluated;
+    - the parts left are joined greedily: start from the smallest, then take
+      the part sharing the most variables with the result, the smaller on
+      ties, and stop as soon as the result is empty.
+
+    So besides the atom projections, which are made once per call and
+    shared, a conjunction holds at most one compound child's relation more
+    than the pending parts that could not be merged, and no join of its
+    atoms is built while one of its subtrees is evaluated.
+    ``max_rows`` bounds every relation built.  When given, ``stats`` gets
+    ``max_arity`` (the largest arity of a relation a visited subformula
+    produced), ``joins`` (join calls) and ``rows_max`` (the largest relation
+    built).
     """
     info = classify(phi)
     if info.variables > k:
@@ -170,56 +231,83 @@ def eval_kvar(phi, b, k, *, stats=None, max_rows=10_000_000):
     if not info.closed:
         raise FragmentError("a closed sentence is required")
     _check_symbols(phi, b)
-    widest = [0]
-    vars_final, rows = walk(_relation(phi, b, max_rows, widest))
+    run = _KvarRun(b, max_rows, _free_sets(subformulas(phi)))
+    vars_final, rows = walk(_relation(phi, run))
     if stats is not None:
-        stats["max_arity"] = widest[0]
-    assert widest[0] <= k
+        stats.update(max_arity=run.widest, joins=run.joins, rows_max=run.rows_max)
+    assert run.widest <= k
     assert vars_final == ()
     return bool(rows)
 
 
-def _relation(f, b, max_rows, widest):
-    # Satisfying assignments of f as (sorted free variables, set of rows);
-    # widest[0] keeps the largest arity seen.
+def _relation(f, run):
+    # Satisfying assignments of f as (sorted free variables, set of rows).
+    # Atom rows are shared through run.atoms, so no relation is changed in place.
     kind = type(f)
-    universe = b.universe
     if kind is Atom:
         distinct, pattern = repetition_pattern(f.args)
-        rows = project_rows(b.relations[f.symbol], pattern)
         va = tuple(sorted(distinct))
-        perm = [distinct.index(v) for v in va]
-        ra = {tuple(r[i] for i in perm) for r in rows}
+        order = tuple(distinct.index(v) for v in va)
+        key = (f.symbol, pattern, order)
+        ra = run.atoms.get(key)
+        if ra is None:
+            rows = project_rows(run.b.relations[f.symbol], pattern)
+            ra = run.atoms[key] = set(map(_columns(order), rows))
     elif kind is Equality:
         va = tuple(sorted({f.left, f.right}))
-        ra = {(u,) * len(va) for u in universe}
+        ra = {(u,) * len(va) for u in run.b.universe}
     elif kind is And:
-        va, ra = yield _relation(f.children[0], b, max_rows, widest)
-        for c in f.children[1:]:
-            vb, rb = yield _relation(c, b, max_rows, widest)
-            va, ra = _join(va, ra, vb, rb)
+        pending = []
+        for c in sorted(f.children, key=lambda c: isinstance(c, (Atom, Equality))):
+            va, ra = yield _relation(c, run)
+            unmerged = []
+            for vb, rb in pending:
+                if ra and (set(va) <= set(vb) or set(vb) <= set(va)):
+                    va, ra = _join(va, ra, vb, rb, run)
+                else:
+                    unmerged.append((vb, rb))
+            if not ra:
+                break
+            pending = unmerged + [(va, ra)]
+        else:
+            va, ra = _greedy_join(pending, run)
+        if not ra:
+            va = tuple(sorted(run.free[id(f)]))
     elif kind is Or:
         parts = []
         for c in f.children:
-            parts.append((yield _relation(c, b, max_rows, widest)))
+            parts.append((yield _relation(c, run)))
         va = tuple(sorted(set().union(*(set(v) for v, _ in parts))))
         ra = set()
         for vc, rc in parts:
-            ra |= _expand(vc, rc, va, universe, max_rows)[1]
+            ra |= _expand(vc, rc, va, run)[1]
     else:
-        va, ra = yield _relation(f.child, b, max_rows, widest)
+        va, ra = yield _relation(f.child, run)
         if kind is Not:
-            va, ra = _complement(va, ra, universe, max_rows)
+            va, ra = _complement(va, ra, run)
         elif f.var in va:
             # forall x . g is equivalent to not (exists x . not g)
             if kind is Forall:
-                va, ra = _complement(va, ra, universe, max_rows)
+                va, ra = _complement(va, ra, run)
             idx = va.index(f.var)
             va = va[:idx] + va[idx + 1 :]
             ra = {row[:idx] + row[idx + 1 :] for row in ra}
             if kind is Forall:
-                va, ra = _complement(va, ra, universe, max_rows)
-    widest[0] = max(widest[0], len(va))
+                va, ra = _complement(va, ra, run)
+    run.widest = max(run.widest, len(va))
+    return run.built(va, ra)
+
+
+def _greedy_join(parts, run):
+    # From the smallest part, join in the part sharing the most variables
+    # with the result; sorting by size makes the first such part the smallest.
+    parts = sorted(parts, key=lambda p: len(p[1]))
+    va, ra = parts.pop(0)
+    while parts and ra:
+        seen = set(va)
+        best = max(range(len(parts)), key=lambda i: len(seen.intersection(parts[i][0])))
+        vb, rb = parts.pop(best)
+        va, ra = _join(va, ra, vb, rb, run)
     return va, ra
 
 

@@ -172,8 +172,10 @@ def _propagate(domains, arcs, scans, queue):
 def find_homomorphism(source, target, *, fixed=None, max_nodes=MAX_NODES, stats=None):
     """Return a deterministic witness homomorphism, or None if there is none.
 
-    ``fixed`` pins source elements to target elements before the search; the
-    node budget surfaces as :class:`LimitExceeded` rather than a wrong answer.
+    ``fixed`` pins source elements to target elements before the search.
+    ``max_nodes`` bounds the nodes this call searches, whether or not a
+    ``stats`` record shared with other calls adds them to its running total;
+    the budget surfaces as :class:`LimitExceeded` rather than a wrong answer.
     """
     if source.signature != target.signature:
         raise SignatureMismatch("homomorphism search needs similar structures")
@@ -222,6 +224,7 @@ def find_homomorphism(source, target, *, fixed=None, max_nodes=MAX_NODES, stats=
     if not _propagate(domains, arcs, scans, queue):
         return None
     counters = stats if stats is not None else SearchStats()
+    budget = counters.nodes + max_nodes
 
     def choose():
         # fewest values, then highest degree, then lowest index; None when all are fixed
@@ -245,7 +248,7 @@ def find_homomorphism(source, target, *, fixed=None, max_nodes=MAX_NODES, stats=
             bit = rest & -rest
             frame[1] = rest ^ bit
             counters.nodes += 1
-            if counters.nodes > max_nodes:
+            if counters.nodes > budget:
                 raise LimitExceeded("homomorphism search nodes", max_nodes)
             domains[:] = saved
             domains[var] = bit

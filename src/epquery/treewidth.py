@@ -7,6 +7,7 @@ decomposition covers every tuple and the two width notions coincide.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -81,10 +82,7 @@ def validate_decomposition(a, d):
     for x, y in d.edges:
         neighbours[x].add(y)
         neighbours[y].add(x)
-    occurrences = {}
-    for node in d.nodes:
-        for elem in d.bags[node]:
-            occurrences.setdefault(elem, set()).add(node)
+    occurrences = _bag_index(d)
     for elem, nodes in occurrences.items():
         start = next(iter(nodes))
         seen = {start}
@@ -99,10 +97,24 @@ def validate_decomposition(a, d):
 
     for sym in a.signature:
         for t in a.relations[sym.name]:
-            wanted = set(t)
-            if not any(wanted <= d.bags[node] for node in d.nodes):
+            if not _covering(occurrences, t):
                 return False
     return True
+
+
+def _bag_index(d):
+    """Element -> the set of nodes whose bags hold it."""
+    occurrences = {}
+    for node in d.nodes:
+        for elem in d.bags[node]:
+            occurrences.setdefault(elem, set()).add(node)
+    return occurrences
+
+
+def _covering(occurrences, t):
+    # Nodes whose bags hold every element of the tuple t.
+    sets = sorted((occurrences.get(elem, set()) for elem in set(t)), key=len)
+    return sets[0].intersection(*sets[1:])
 
 
 def _bits(mask):
@@ -199,17 +211,38 @@ def treewidth_exact(a, *, max_universe=MAX_EXACT_TW):
     return best[full], decomposition_from_order(a, order)
 
 
+def _fill(adj, elem):
+    # Edges that eliminating elem would add between its neighbours.
+    return sum(w not in adj[u] for u, w in itertools.combinations(adj[elem], 2))
+
+
 def treewidth_upper(a):
-    """Width and decomposition from the min-fill elimination heuristic."""
+    """Width and decomposition from the min-fill elimination heuristic.
+
+    Each step eliminates the element with the fewest fill edges, the
+    earliest in the universe on ties.  Only the eliminated element's
+    neighbours and the common neighbours of the ends of each new fill edge
+    see their fill change, so only theirs is recounted; a heap of
+    (fill, universe position) entries, stale ones skipped, picks the next.
+    """
     adj = gaifman_adjacency(a)
     position = {elem: i for i, elem in enumerate(a.universe)}
+    fill = {elem: _fill(adj, elem) for elem in adj}
+    heap = [(count, position[elem], elem) for elem, count in fill.items()]
+    heapq.heapify(heap)
     order = []
-    while adj:
-        # fewest fill edges, then earliest in the universe
-        best_elem = min(adj, key=lambda e: (
-            sum(w not in adj[u] for u, w in itertools.combinations(adj[e], 2)), position[e]))
-        _eliminate(adj, best_elem)
-        order.append(best_elem)
+    while heap:
+        count, _, elem = heapq.heappop(heap)
+        if elem not in adj or fill[elem] != count:
+            continue
+        added = [(u, w) for u, w in itertools.combinations(adj[elem], 2) if w not in adj[u]]
+        changed = set(_eliminate(adj, elem))
+        for u, w in added:
+            changed |= adj[u] & adj[w]
+        for u in changed:
+            fill[u] = _fill(adj, u)
+            heapq.heappush(heap, (fill[u], position[u], u))
+        order.append(elem)
     witness = decomposition_from_order(a, order)
     return witness.width(), witness
 
@@ -260,11 +293,10 @@ def pp_from_decomposition(a, d, k):
     children, depth, preorder = _rooted(d, root)
 
     placed = {node: [] for node in d.nodes}
+    occurrences = _bag_index(d)
     for sym in a.signature:
         for t in sorted(a.relations[sym.name]):
-            wanted = set(t)
-            covering = [n for n in d.nodes if wanted <= d.bags[n]]
-            home = min(covering, key=lambda n: (depth[n], preorder[n]))
+            home = min(_covering(occurrences, t), key=lambda n: (depth[n], preorder[n]))
             placed[home].append((sym.name, t))
 
     pool = _variable_pool(k)

@@ -3,12 +3,14 @@
 The oracles here deliberately avoid the library's search code paths:
 homomorphism existence is decided by enumerating every map, treewidth by
 enumerating every elimination order, satisfiability by enumerating every
-assignment.  The two reference versions at the end (``restart_core`` and
-``two_phase_m_normalize``) do use the search: they are the earlier, plainer
-control flow of ``core`` and ``m_normalize``, kept to pin their outputs.
+assignment.  The reference versions at the end (``restart_core``,
+``two_phase_m_normalize`` and ``rescan_treewidth_upper``) do use the
+library: they are the earlier, plainer control flow of ``core``,
+``m_normalize`` and ``treewidth_upper``, kept to pin their outputs.
 """
 
 import itertools
+import random
 
 import epquery as q
 
@@ -34,6 +36,31 @@ def clique_digraph(n, prefix="k"):
 def path_digraph(n, prefix="p"):
     names = [f"{prefix}{i}" for i in range(n)]
     edges = {(names[i], names[i + 1]) for i in range(n - 1)}
+    return digraph(names, edges)
+
+
+def triangulated_grid(rows, columns):
+    """Digraph on a rows x columns grid with right, down and diagonal edges."""
+    names = [f"g{r}_{c}" for r in range(rows) for c in range(columns)]
+    edges = set()
+    for r in range(rows):
+        for c in range(columns):
+            if c + 1 < columns:
+                edges.add((f"g{r}_{c}", f"g{r}_{c + 1}"))
+            if r + 1 < rows:
+                edges.add((f"g{r}_{c}", f"g{r + 1}_{c}"))
+                if c + 1 < columns:
+                    edges.add((f"g{r}_{c}", f"g{r + 1}_{c + 1}"))
+    return digraph(names, edges)
+
+
+def sparse_digraph(seed, n, image):
+    """Three random out-neighbours per vertex, plus i -> i+1 and i -> i+2 on
+    the first ``image`` vertices, which holds an image of a 3-row grid."""
+    rng = random.Random(seed)
+    names = [f"b{i}" for i in range(n)]
+    edges = {(u, v) for u in names for v in rng.sample([w for w in names if w != u], 3)}
+    edges |= {(names[i], names[i + d]) for d in (1, 2) for i in range(image - d)}
     return digraph(names, edges)
 
 
@@ -256,3 +283,20 @@ def two_phase_m_normalize(phi):
 
     return [disjuncts[rep] for rep in reps
             if all(other == rep or not entails(rep, other) for other in reps)]
+
+
+def rescan_treewidth_upper(a):
+    """Min-fill elimination that recounts every element's fill at each step."""
+    adj = q.gaifman_adjacency(a)
+    position = {elem: i for i, elem in enumerate(a.universe)}
+    order = []
+    while adj:
+        elem = min(adj, key=lambda e: (
+            sum(w not in adj[u] for u, w in itertools.combinations(adj[e], 2)), position[e]))
+        neigh = adj.pop(elem)
+        for u in neigh:
+            adj[u] |= neigh - {u}
+            adj[u].discard(elem)
+        order.append(elem)
+    witness = q.decomposition_from_order(a, order)
+    return witness.width(), witness

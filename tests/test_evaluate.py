@@ -3,7 +3,14 @@ import random
 import pytest
 
 import epquery as q
-from helpers import E2, digraph, random_ep_formula, random_structure
+from helpers import (
+    E2,
+    digraph,
+    random_ep_formula,
+    random_structure,
+    sparse_digraph,
+    triangulated_grid,
+)
 
 EPQ_SIG = q.Signature(
     [q.RelationSymbol("E", 2), q.RelationSymbol("P", 1), q.RelationSymbol("Q", 1)]
@@ -98,6 +105,48 @@ def test_eval_kvar_tracks_arity():
     stats = {}
     q.eval_kvar(nested, path, 2, stats=stats)
     assert stats["max_arity"] <= 2
+
+
+def test_eval_kvar_join_respects_max_rows():
+    sig = q.Signature([q.RelationSymbol("P", 1)])
+    names = tuple(f"a{i}" for i in range(200))
+    b = q.Structure(sig, names, {"P": {(x,) for x in names}})
+    f = q.parse_formula("exists x . exists y . P(x) & P(y)")
+    with pytest.raises(q.LimitExceeded, match="bounded-variable relation size"):
+        q.eval_kvar(f, b, 2, max_rows=1000)
+    stats = {}
+    assert q.eval_kvar(f, b, 2, stats=stats)
+    assert stats["joins"] == 1 and stats["rows_max"] == 200 * 200
+
+
+# Join calls and the largest relation of the 3 x 10 grid's 4-variable form:
+# a change of join order fails here, not only in the benchmark.  On the
+# false target the first empty part stops the plan after 7 joins.
+def test_eval_kvar_plan_counters_are_pinned():
+    grid = triangulated_grid(3, 10)
+    width, decomposition = q.treewidth_upper(grid)
+    form = q.pp_from_decomposition(grid, decomposition, width + 1)
+    cases = ((sparse_digraph(1, 60, 12), True, 65, 2576), (sparse_digraph(2, 60, 0), False, 7, 1620))
+    for target, verdict, joins, rows_max in cases:
+        stats = {}
+        assert q.eval_kvar(form, target, 4, stats=stats) is verdict
+        assert stats == {"max_arity": 4, "joins": joins, "rows_max": rows_max}
+        assert (q.find_homomorphism(grid, target) is not None) is verdict
+
+
+def test_eval_kvar_on_bounded_variable_forms_agrees_with_naive_and_dnf_hom():
+    rng = random.Random(97)
+    verdicts = []
+    for _ in range(40):
+        a = random_structure(rng, E2, 6, density=0.3)
+        width, decomposition = q.treewidth_upper(a)
+        form = q.pp_from_decomposition(a, decomposition, width + 1)
+        b = random_structure(rng, E2, 4, density=0.4)
+        expected = q.eval_naive(form, b)
+        assert q.eval_kvar(form, b, width + 1) == expected
+        assert q.eval_dnf_hom(form, b) == expected
+        verdicts.append(expected)
+    assert set(verdicts) == {True, False}
 
 
 def test_eval_kvar_agrees_with_naive_on_fo():

@@ -15,6 +15,8 @@ from helpers import (
     path_digraph,
     random_structure,
     restart_core,
+    sparse_digraph,
+    triangulated_grid,
 )
 
 
@@ -53,6 +55,22 @@ def test_node_limit_surfaces_as_error():
     b = digraph(["x", "y"], set())
     with pytest.raises(q.LimitExceeded):
         q.find_homomorphism(a, b, max_nodes=0)
+
+
+def test_node_budget_counts_each_calls_own_nodes():
+    # No single search of the core's removal pass needs more than 6 nodes;
+    # together they need more.  A shared stats record keeps the total only.
+    triangles = digraph(
+        [f"t{i}_{j}" for i in range(6) for j in range(3)],
+        {(f"t{i}_{j}", f"t{i}_{(j + 1) % 3}") for i in range(6) for j in range(3)},
+    )
+    assert len(q.core(triangles, max_nodes=6).universe) == 3
+    stats = q.SearchStats()
+    assert len(q.core(triangles, max_nodes=6, stats=stats).universe) == 3
+    assert stats.nodes > 6
+    stats = q.SearchStats(nodes=1000)
+    with pytest.raises(q.LimitExceeded):
+        q.find_homomorphism(triangles, cycle_digraph(3), max_nodes=0, stats=stats)
 
 
 def test_verify_rejects_bad_maps():
@@ -195,30 +213,6 @@ def test_completeness_mixed_arity_with_pins():
         t_shapes |= {len(set(t)) for t in a.relations["T"]}
     assert verdicts == {True, False}
     assert t_shapes == {1, 2, 3}
-
-
-def triangulated_grid(rows, columns):
-    names = [f"g{r}_{c}" for r in range(rows) for c in range(columns)]
-    edges = set()
-    for r in range(rows):
-        for c in range(columns):
-            if c + 1 < columns:
-                edges.add((f"g{r}_{c}", f"g{r}_{c + 1}"))
-            if r + 1 < rows:
-                edges.add((f"g{r}_{c}", f"g{r + 1}_{c}"))
-                if c + 1 < columns:
-                    edges.add((f"g{r}_{c}", f"g{r + 1}_{c + 1}"))
-    return digraph(names, edges)
-
-
-def sparse_digraph(seed, n, image):
-    """Three random out-neighbours per vertex, plus i -> i+1 and i -> i+2 on
-    the first ``image`` vertices, which holds an image of a 3-row grid."""
-    rng = random.Random(seed)
-    names = [f"b{i}" for i in range(n)]
-    edges = {(u, v) for u in names for v in rng.sample([w for w in names if w != u], 3)}
-    edges |= {(names[i], names[i + d]) for d in (1, 2) for i in range(image - d)}
-    return digraph(names, edges)
 
 
 # Fixed node counts and witnesses: the benchmark's node counters and every

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -13,6 +14,11 @@ from helpers import (
     exhaustive_treewidth,
     path_digraph,
     random_structure,
+    rescan_treewidth_upper,
+)
+
+PET = q.Signature(
+    [q.RelationSymbol("P", 1), q.RelationSymbol("E", 2), q.RelationSymbol("T", 3)]
 )
 
 
@@ -98,6 +104,16 @@ def test_treewidth_upper_examples():
     assert q.validate_decomposition(clique_digraph(4), witness)
 
 
+def test_treewidth_upper_matches_rescanning_reference():
+    rng = random.Random(67)
+    for i in range(400):
+        a = random_structure(rng, (E2, PET)[i % 2], 9, density=(0.1, 0.25, 0.5)[i % 3])
+        assert q.treewidth_upper(a) == rescan_treewidth_upper(a)
+    # min-fill eliminates a path from its first end, one element at a time
+    path = path_digraph(1500)
+    assert q.treewidth_upper(path) == (1, q.decomposition_from_order(path, path.universe))
+
+
 def test_treewidth_upper_bounds_exact():
     rng = random.Random(61)
     for _ in range(40):
@@ -159,6 +175,40 @@ def test_pp_from_decomposition_equivalence_random():
         reference = q.canonical_query(s)
         for b in rng.sample(worlds, 30):
             assert q.eval_naive(sentence, b) == q.eval_naive(reference, b)
+
+
+def test_pp_from_decomposition_output_is_pinned():
+    # sha1 of the rendered forms, recorded while each tuple's home bag was
+    # found by scanning every bag: the bag index must pick the same homes
+    rng = random.Random(71)
+    digest = hashlib.sha1()
+    for i in range(60):
+        a = random_structure(rng, (E2, PET)[i % 2], 8, density=(0.15, 0.3, 0.5)[i % 3])
+        width, d = q.treewidth_upper(a)
+        digest.update(q.render(q.pp_from_decomposition(a, d, width + 1)).encode())
+    assert digest.hexdigest() == "8f7a4d3a52786975b88dcbcc1a472a21d452161a"
+    path = path_digraph(1500)
+    form = q.pp_from_decomposition(path, q.decomposition_from_order(path, path.universe), 2)
+    assert hashlib.sha1(q.render(form).encode()).hexdigest() == (
+        "c0112a82a66be0bf0e915fa5452893dd90fdf58a"
+    )
+
+
+def test_validate_decomposition_coverage_matches_bag_scan():
+    # A decomposition of one structure is a tree with connected element
+    # sets, so on another structure over the same universe only tuple
+    # coverage can fail.
+    rng = random.Random(73)
+    verdicts = set()
+    for _ in range(200):
+        a = random_structure(rng, E2, 7, density=0.3)
+        _, d = q.treewidth_upper(a)
+        edges = {t for t in itertools.product(a.universe, repeat=2) if rng.random() < 0.15}
+        other = digraph(a.universe, edges)
+        covered = all(any(set(t) <= bag for bag in d.bags.values()) for t in edges)
+        assert q.validate_decomposition(other, d) == covered
+        verdicts.add(covered)
+    assert verdicts == {True, False}
 
 
 def test_decide_ppk_examples():
