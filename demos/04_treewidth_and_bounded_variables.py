@@ -17,7 +17,8 @@ def digraph(universe, edges):
     return q.Structure(sig, tuple(universe), {"E": set(edges)})
 
 
-# Exact treewidth by dynamic programming over elimination orders.
+# Exact treewidth: min-fill and minor-min-width bounds first, and a search
+# over elimination orders only when the two bounds disagree.
 path4 = digraph("abcd", {("a", "b"), ("b", "c"), ("c", "d")})
 k4 = digraph("wxyz", {(x, y) for x in "wxyz" for y in "wxyz" if x != y})
 cycle5 = digraph("01234", {(str(i), str((i + 1) % 5)) for i in range(5)})

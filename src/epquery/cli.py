@@ -93,7 +93,8 @@ def _cmd_eval(args, limits):
             raise EpqError("eval needs --sentence and --structure (or --bundle)")
         sentence = _load_sentence(args.sentence)
         structure = _load_structure(args.structure)
-    stats = SearchStats()
+    # kvar fills a dict with its joins, largest relation and widest arity
+    stats = {} if args.strategy == "kvar" else SearchStats()
     verdict = evaluate(
         sentence,
         structure,
@@ -103,12 +104,8 @@ def _cmd_eval(args, limits):
         max_nodes=limits["max_nodes"],
         max_disjuncts=limits["max_disjuncts"],
     )
-    record = {
-        "command": "eval",
-        "verdict": verdict,
-        "stats": {"nodes-searched": stats.nodes},
-        "limits-hit": [],
-    }
+    record = {"verdict": verdict,
+              "stats": stats if args.strategy == "kvar" else {"nodes-searched": stats.nodes}}
     return ["true" if verdict else "false"], record, 0 if verdict else 1
 
 
@@ -117,22 +114,11 @@ def _cmd_hom(args, limits):
     target = _load_structure(args.target)
     stats = SearchStats()
     witness = find_homomorphism(source, target, max_nodes=limits["max_nodes"], stats=stats)
+    record = {"verdict": witness is not None, "stats": {"nodes-searched": stats.nodes}}
     if witness is None:
-        record = {
-            "command": "hom",
-            "verdict": False,
-            "stats": {"nodes-searched": stats.nodes},
-            "limits-hit": [],
-        }
         return ["none"], record, 1
     lines = [f"{x} -> {witness.mapping[x]}" for x in source.universe]
-    record = {
-        "command": "hom",
-        "verdict": True,
-        "result": {x: witness.mapping[x] for x in source.universe},
-        "stats": {"nodes-searched": stats.nodes},
-        "limits-hit": [],
-    }
+    record["result"] = {x: witness.mapping[x] for x in source.universe}
     return lines, record, 0
 
 
@@ -141,28 +127,20 @@ def _cmd_core(args, limits):
     stats = SearchStats()
     small = core(structure, max_nodes=limits["max_nodes"], stats=stats)
     text = format_structure(small)
-    record = {
-        "command": "core",
-        "result": text,
-        "stats": {"nodes-searched": stats.nodes},
-        "limits-hit": [],
-    }
-    return [text.rstrip("\n")], record, 0
+    return [text.rstrip("\n")], {"result": text, "stats": {"nodes-searched": stats.nodes}}, 0
 
 
 def _cmd_canonical_query(args, limits):
     structure = _load_structure(args.structure)
-    sentence = canonical_query(structure)
-    record = {"command": "canonical-query", "result": render(sentence), "stats": {}, "limits-hit": []}
-    return [render(sentence)], record, 0
+    line = render(canonical_query(structure))
+    return [line], {"result": line, "stats": {}}, 0
 
 
 def _cmd_pp_structure(args, limits):
     sentence = _load_sentence(args.sentence)
     structure = structure_of_pp(sentence)
     text = format_structure(structure)
-    record = {"command": "pp-structure", "result": text, "stats": {}, "limits-hit": []}
-    return [text.rstrip("\n")], record, 0
+    return [text.rstrip("\n")], {"result": text, "stats": {}}, 0
 
 
 def _cmd_normalize(args, limits):
@@ -175,12 +153,7 @@ def _cmd_normalize(args, limits):
         stats=stats,
     )
     lines = [render(m) for m in members]
-    record = {
-        "command": "normalize",
-        "result": lines,
-        "stats": {"disjuncts": len(members), "nodes-searched": stats.nodes},
-        "limits-hit": [],
-    }
+    record = {"result": lines, "stats": {"disjuncts": len(members), "nodes-searched": stats.nodes}}
     return lines, record, 0
 
 
@@ -190,8 +163,7 @@ def _cmd_compile_unary(args, limits):
         sentence, max_disjuncts=limits["max_disjuncts"], max_nodes=limits["max_nodes"]
     )
     line = render(compiled)
-    record = {"command": "compile-unary", "result": [line], "stats": {}, "limits-hit": []}
-    return [line], record, 0
+    return [line], {"result": [line], "stats": {}}, 0
 
 
 def _cmd_treewidth(args, limits):
@@ -201,7 +173,7 @@ def _cmd_treewidth(args, limits):
     else:
         width, witness = treewidth_exact(structure, max_universe=limits["max_exact_tw"])
     lines = [str(width)]
-    record = {"command": "treewidth", "result": width, "stats": {"width": width}, "limits-hit": []}
+    record = {"result": width, "stats": {"width": width}}
     if args.witness:
         text = format_decomposition(witness)
         lines.append(text.rstrip("\n"))
@@ -213,20 +185,13 @@ def _cmd_gadget(args, limits):
     structure = _load_structure(args.structure)
     built = gadget_star(structure) if args.kind == "star" else gadget_plus(structure)
     text = format_structure(built)
-    record = {"command": "gadget", "result": text, "stats": {}, "limits-hit": []}
-    return [text.rstrip("\n")], record, 0
+    return [text.rstrip("\n")], {"result": text, "stats": {}}, 0
 
 
 def _cmd_hn(args, limits):
     sentence = hamiltonian_sentence_ep6(args.n) if args.ep6 else hamiltonian_sentence(args.n)
     line = render(sentence)
-    record = {
-        "command": "hn",
-        "result": line,
-        "stats": {"variables": classify(sentence).variables},
-        "limits-hit": [],
-    }
-    return [line], record, 0
+    return [line], {"result": line, "stats": {"variables": classify(sentence).variables}}, 0
 
 
 def _cmd_reduce(args, limits):
@@ -246,13 +211,7 @@ def _cmd_reduce(args, limits):
         instance = reduce_sat(cnf, mode=mode, arity=arity)
     out = _write_bundle(instance, args.out)
     lines = [str(out / "sentence.epq"), str(out / "structure.str")]
-    record = {
-        "command": "reduce",
-        "result": {"sentence": lines[0], "structure": lines[1]},
-        "stats": {},
-        "limits-hit": [],
-    }
-    return lines, record, 0
+    return lines, {"result": {"sentence": lines[0], "structure": lines[1]}, "stats": {}}, 0
 
 
 def _cmd_gdnf(args, limits):
@@ -260,13 +219,7 @@ def _cmd_gdnf(args, limits):
     right = parse_gdnf(_read(args.right))
     combined = gdnf_product(left, right)
     text = format_gdnf(combined)
-    record = {
-        "command": "gdnf",
-        "result": text,
-        "stats": {"blocks": len(combined.blocks)},
-        "limits-hit": [],
-    }
-    return [text.rstrip("\n")], record, 0
+    return [text.rstrip("\n")], {"result": text, "stats": {"blocks": len(combined.blocks)}}, 0
 
 
 def _add_common(sub, *limits):
@@ -386,7 +339,7 @@ def main(argv=None):
         traceback.print_exc()
         return _fail(args, f"{type(exc).__name__}: {exc}", [])
     if args.format == "json":
-        print(json.dumps(record, sort_keys=True))
+        print(json.dumps({"command": args.command, "limits-hit": [], **record}, sort_keys=True))
     else:
         for line in lines:
             print(line)

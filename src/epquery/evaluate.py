@@ -34,7 +34,7 @@ from .formulas import (
     subformulas,
     walk,
 )
-from .homomorphism import find_homomorphism, hom_equivalent
+from .homomorphism import SearchStats, find_homomorphism, hom_equivalent
 from .normalize import m_normalize, to_pp_disjunction
 from .structures import Structure, product, project_rows, repetition_pattern
 
@@ -184,13 +184,10 @@ def _expand(va, ra, out_vars, run):
     universe = run.b.universe
     if len(ra) * len(universe) ** len(missing) > run.max_rows:
         raise LimitExceeded("bounded-variable relation size", run.max_rows)
-    pa = {v: i for i, v in enumerate(va)}
-    out = set()
-    for row in ra:
-        for combo in itertools.product(universe, repeat=len(missing)):
-            filler = dict(zip(missing, combo))
-            out.add(tuple(row[pa[v]] if v in pa else filler[v] for v in out_vars))
-    return tuple(out_vars), out
+    combos = list(itertools.product(universe, repeat=len(missing))) if ra else ()
+    where = {v: i for i, v in enumerate(va + tuple(missing))}
+    pick = _columns([where[v] for v in out_vars])
+    return tuple(out_vars), {pick(row + combo) for row in ra for combo in combos}
 
 
 def _complement(va, ra, run):
@@ -355,12 +352,20 @@ _STRATEGIES = ("naive", "kvar", "dnf-hom", "pp-reduction")
 
 
 def evaluate(phi, b, strategy="naive", *, k=None, stats=None, **limits):
-    """Dispatch helper used by the command line; strategy names as documented."""
+    """Dispatch helper used by the command line; strategy names as documented.
+
+    ``stats`` is a ``SearchStats`` for the search strategies and a dict for
+    ``kvar`` (see ``eval_kvar``); ``naive`` keeps none.  A ``stats`` of the
+    other kind raises ``EpqError`` before any evaluation.
+    """
+    kind = dict if strategy == "kvar" else SearchStats
+    if stats is not None and strategy in _STRATEGIES[1:] and not isinstance(stats, kind):
+        raise EpqError(f"strategy {strategy!r} keeps its counters in a {kind.__name__}")
     if strategy == "naive":
         return eval_naive(phi, b, **{k_: v for k_, v in limits.items() if k_ == "max_work"})
     if strategy == "kvar":
         bound = k if k is not None else classify(phi).variables
-        return eval_kvar(phi, b, bound)
+        return eval_kvar(phi, b, bound, stats=stats)
     if strategy == "dnf-hom":
         return eval_dnf_hom(phi, b, stats=stats, **{
             k_: v for k_, v in limits.items() if k_ in ("max_disjuncts", "max_nodes")

@@ -171,12 +171,12 @@ def decomposition_from_order(a, order):
 
 
 def treewidth_exact(a, *, max_universe=MAX_EXACT_TW):
-    """Optimal width plus a witnessing decomposition, by subset dynamic programming.
+    """Optimal width plus a witnessing decomposition, from bounds first.
 
-    States are sets of already-eliminated elements; the cost of eliminating v
-    after a set is its forward degree through that set.  The table is filled
-    bottom up, one bitmask after another, and the order is read back from it.
-    Exponential in the universe size, hence the guard.
+    When the minor-min-width lower bound meets the min-fill upper bound,
+    min-fill's decomposition is optimal; otherwise each width from the lower
+    bound up is tried with ``_width_at_most``, which is exponential in the
+    universe size, hence the guard.
     """
     n = len(a.universe)
     if n == 0:
@@ -184,31 +184,68 @@ def treewidth_exact(a, *, max_universe=MAX_EXACT_TW):
     if n > max_universe:
         raise LimitExceeded("exact treewidth universe size", max_universe)
     index = {elem: i for i, elem in enumerate(a.universe)}
-    adj_masks = [0] * n
-    for elem, neigh in gaifman_adjacency(a).items():
-        for u in neigh:
-            adj_masks[index[elem]] |= 1 << index[u]
+    masks = [sum(1 << index[u] for u in neigh) for neigh in gaifman_adjacency(a).values()]
+    upper, witness = treewidth_upper(a)
+    for k in range(minor_min_width(a), upper):
+        order = _width_at_most(masks, k)
+        if order is not None:
+            return k, decomposition_from_order(a, [a.universe[v] for v in order])
+    return upper, witness
 
-    def cost(mask, v):
-        # width of eliminating v last among mask, the rest of mask optimally before it
-        rest = mask & ~(1 << v)
-        return max(best[rest], _elimination_cost(adj_masks, rest, v))
 
-    # best[mask] is the least width of eliminating exactly the elements of
-    # mask first; each subset of mask is a smaller index, so it is filled already.
+def _width_at_most(masks, k):
+    """An elimination order (element indices) of width at most k, or None.
+
+    Explores sets of eliminated elements, each reached by a step whose
+    elimination cost is at most k, depth first on an explicit stack.  Each
+    set keeps the element its step eliminated, which points back to its
+    parent set.  Once at most k + 1 elements remain, they go last in any
+    order: none can then have more than k later neighbours.
+    """
+    n = len(masks)
     full = (1 << n) - 1
-    best = [-1] * (full + 1)
-    for mask in range(1, full + 1):
-        best[mask] = min(cost(mask, v) for v in _bits(mask))
+    last = {0: None}  # reached set -> the element its step eliminated
+    stack = [0]
+    while stack:
+        done = stack.pop()
+        if n - done.bit_count() <= k + 1:
+            order = list(_bits(full & ~done))
+            while done:
+                order.append(last[done])
+                done ^= 1 << last[done]
+            return order[::-1]
+        for v in _bits(full & ~done):
+            step = done | 1 << v
+            if step not in last and _elimination_cost(masks, done, v) <= k:
+                last[step] = v
+                stack.append(step)
+    return None
 
-    order_rev = []
-    mask = full
-    while mask:
-        pick = min(_bits(mask), key=lambda v: cost(mask, v))  # first minimum wins
-        order_rev.append(pick)
-        mask &= ~(1 << pick)
-    order = [a.universe[v] for v in reversed(order_rev)]
-    return best[full], decomposition_from_order(a, order)
+
+def minor_min_width(a):
+    """Minor-min-width lower bound on treewidth (Gogate & Dechter 2004).
+
+    Repeatedly takes an element of least degree, records that degree, and
+    contracts it into its least-degree neighbour, or deletes it if it has
+    none; ties go to the earliest in the universe.  Each graph reached is a
+    minor, whose treewidth is at most the original's and at least its least
+    degree.
+    """
+    adj = gaifman_adjacency(a)
+    position = {elem: i for i, elem in enumerate(a.universe)}
+    bound = 0
+    while adj:
+        elem = min(adj, key=lambda e: (len(adj[e]), position[e]))
+        neigh = adj.pop(elem)
+        bound = max(bound, len(neigh))
+        for u in neigh:
+            adj[u].discard(elem)
+        if neigh:
+            into = min(neigh, key=lambda e: (len(adj[e]), position[e]))
+            for u in neigh - {into}:
+                adj[u].add(into)
+                adj[into].add(u)
+    return bound
 
 
 def _fill(adj, elem):

@@ -4,15 +4,17 @@ The oracles here deliberately avoid the library's search code paths:
 homomorphism existence is decided by enumerating every map, treewidth by
 enumerating every elimination order, satisfiability by enumerating every
 assignment.  The reference versions at the end (``restart_core``,
-``two_phase_m_normalize`` and ``rescan_treewidth_upper``) do use the
-library: they are the earlier, plainer control flow of ``core``,
-``m_normalize`` and ``treewidth_upper``, kept to pin their outputs.
+``two_phase_m_normalize``, ``rescan_treewidth_upper`` and
+``table_treewidth_exact``) do use the library: they are the earlier,
+plainer control flow of ``core``, ``m_normalize``, ``treewidth_upper`` and
+``treewidth_exact``, kept to pin their outputs.
 """
 
 import itertools
 import random
 
 import epquery as q
+from epquery.treewidth import _bits, _elimination_cost
 
 E2 = q.digraph_signature()
 
@@ -300,3 +302,39 @@ def rescan_treewidth_upper(a):
         order.append(elem)
     witness = q.decomposition_from_order(a, order)
     return witness.width(), witness
+
+
+def table_treewidth_exact(a):
+    """Reference ``treewidth_exact``: a bottom-up table over all 2**n subsets.
+
+    States are sets of already-eliminated elements; the cost of eliminating v
+    after a set is its forward degree through that set.  The table is filled
+    one bitmask after another, and the order is read back from it.
+    """
+    n = len(a.universe)
+    index = {elem: i for i, elem in enumerate(a.universe)}
+    adj_masks = [0] * n
+    for elem, neigh in q.gaifman_adjacency(a).items():
+        for u in neigh:
+            adj_masks[index[elem]] |= 1 << index[u]
+
+    def cost(mask, v):
+        # width of eliminating v last among mask, the rest of mask optimally before it
+        rest = mask & ~(1 << v)
+        return max(best[rest], _elimination_cost(adj_masks, rest, v))
+
+    # best[mask] is the least width of eliminating exactly the elements of
+    # mask first; each subset of mask is a smaller index, so it is filled already.
+    full = (1 << n) - 1
+    best = [-1] * (full + 1)
+    for mask in range(1, full + 1):
+        best[mask] = min(cost(mask, v) for v in _bits(mask))
+
+    order_rev = []
+    mask = full
+    while mask:
+        pick = min(_bits(mask), key=lambda v: cost(mask, v))  # first minimum wins
+        order_rev.append(pick)
+        mask &= ~(1 << pick)
+    order = [a.universe[v] for v in reversed(order_rev)]
+    return best[full], q.decomposition_from_order(a, order)

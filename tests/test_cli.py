@@ -71,6 +71,22 @@ def test_eval_json_record(tmp_path, capsys):
     assert "nodes-searched" in record["stats"]
 
 
+def test_eval_kvar_json_reports_its_joins(tmp_path, capsys):
+    text = "exists x . exists y . exists z . (E(x,y) & E(y,z) & E(z,x))"
+    (tmp_path / "s.epq").write_text(text)
+    (tmp_path / "b.str").write_text(K4)
+    code, out, _ = _run(
+        capsys,
+        ["eval", "--sentence", str(tmp_path / "s.epq"), "--structure", str(tmp_path / "b.str"),
+         "--strategy", "kvar", "--format", "json"],
+    )
+    assert code == 0
+    stats = {}
+    assert q.eval_kvar(q.parse_formula(text), q.parse_structure(K4), 3, stats=stats)
+    assert json.loads(out)["stats"] == stats
+    assert set(stats) == {"joins", "rows_max", "max_arity"} and stats["joins"] > 0
+
+
 def test_treewidth_k4(tmp_path, capsys):
     (tmp_path / "k4.str").write_text(K4)
     code, out, _ = _run(capsys, ["treewidth", "--structure", str(tmp_path / "k4.str")])

@@ -164,6 +164,38 @@ def test_eval_kvar_agrees_with_naive_on_fo():
             assert q.eval_kvar(f, b, 2) == q.eval_naive(f, b)
 
 
+def test_evaluate_checks_the_kind_of_stats():
+    phi = q.parse_formula("exists x . exists y . E(x,y)")
+    b = digraph(["a", "b"], {("a", "b")})
+    stats = {}
+    assert q.evaluate(phi, b, "kvar", stats=stats)
+    assert stats["joins"] >= 0 and stats["max_arity"] >= 1
+    with pytest.raises(q.EpqError):
+        q.evaluate(phi, b, "kvar", stats=q.SearchStats())
+    for strategy in ("dnf-hom", "pp-reduction"):
+        with pytest.raises(q.EpqError):
+            q.evaluate(phi, b, strategy, stats={})
+        assert q.evaluate(phi, b, strategy, stats=q.SearchStats())
+
+
+def test_eval_kvar_pads_disjuncts_column_by_column():
+    # Each Or joins disjuncts over different free variables, so each is
+    # padded to the Or's variables; a padded column out of place changes the
+    # verdict on some world.
+    sig = q.Signature([q.RelationSymbol("E", 2), q.RelationSymbol("P", 1)])
+    rng = random.Random(83)
+    worlds = [random_structure(rng, sig, 4, density=0.3) for _ in range(150)]
+    for text in (
+        "exists x . exists y . (E(x,y) & (P(x) | E(y,y)))",
+        "exists x . exists y . exists z . (E(x,y) & E(y,z) & (E(z,x) | P(y) | x = z))",
+        "exists x . exists y . (E(x,y) & (exists z . (E(y,z) & (P(x) | E(z,x)))))",
+    ):
+        phi = q.parse_formula(text)
+        verdicts = [q.eval_naive(phi, b) for b in worlds]
+        assert [q.eval_kvar(phi, b, 3) for b in worlds] == verdicts
+        assert set(verdicts) == {True, False}
+
+
 def test_eval_dnf_hom_examples():
     edge = digraph(["a", "b"], {("a", "b")})
     f = q.parse_formula("exists x . (E(x,x) | (exists y . E(x,y)))")

@@ -122,3 +122,65 @@ def test_strategies_agree_with_naive(phi, b):
     expected = q.eval_naive(phi, b)
     assert q.eval_kvar(phi, b, q.classify(phi).variables) == expected
     assert q.eval_dnf_hom(phi, b) == expected
+
+
+ELEMENTS = ("a", "b", "c", "e1", "e2", "x_3")
+SYMBOLS = st.sampled_from(
+    [q.RelationSymbol("P", 1), q.RelationSymbol("E", 2), q.RelationSymbol("T", 3)]
+)
+
+
+@st.composite
+def structures(draw):
+    signature = q.Signature(draw(st.lists(SYMBOLS, min_size=1, max_size=3, unique=True)))
+    universe = tuple(sorted(draw(st.sets(st.sampled_from(ELEMENTS), min_size=1))))
+    relations = {
+        sym.name: draw(st.sets(st.tuples(*[st.sampled_from(universe)] * sym.arity), max_size=6))
+        for sym in signature
+    }
+    return q.Structure(signature, universe, relations)
+
+
+@settings(max_examples=100, **SETTINGS)
+@given(structures())
+def test_structure_text_round_trip(s):
+    text = q.format_structure(s)
+    assert q.parse_structure(text) == s
+    assert q.format_structure(q.parse_structure(text)) == text
+
+
+@st.composite
+def block_relations(draw):
+    arity = draw(st.integers(1, 3))
+    universe = tuple(draw(st.permutations(ELEMENTS))[: draw(st.integers(0, len(ELEMENTS)))])
+    coordinates = st.frozensets(st.sampled_from(universe)) if universe else st.just(frozenset())
+    blocks = draw(st.lists(st.tuples(*[coordinates] * arity), max_size=4))
+    return q.GdnfRelation(arity, universe, tuple(blocks))
+
+
+@settings(max_examples=100, **SETTINGS)
+@given(block_relations())
+def test_gdnf_text_round_trip(g):
+    text = q.format_gdnf(g)
+    assert q.parse_gdnf(text) == g
+    assert q.format_gdnf(q.parse_gdnf(text)) == text
+
+
+@st.composite
+def decompositions(draw):
+    # a random tree: node i > 0 hangs from an earlier node
+    nodes = tuple(f"t{i}" for i in range(draw(st.integers(1, 6))))
+    edges = tuple((nodes[i], nodes[draw(st.integers(0, i - 1))]) for i in range(1, len(nodes)))
+    bag = st.frozensets(st.sampled_from(ELEMENTS), min_size=1)
+    return q.TreeDecomposition(nodes, edges, {node: draw(bag) for node in nodes})
+
+
+@settings(max_examples=100, **SETTINGS)
+@given(decompositions())
+def test_decomposition_text_round_trip(d):
+    text = q.format_decomposition(d)
+    again = q.parse_decomposition(text)
+    assert sorted(again.nodes) == sorted(d.nodes)
+    assert again.bags == d.bags
+    assert {frozenset(e) for e in again.edges} == {frozenset(e) for e in d.edges}
+    assert q.format_decomposition(again) == text

@@ -17,6 +17,11 @@ TEXT = "exists x . exists y . (E(x,y) & (exists z . (E(y,z) | x = z)) & (exists 
 PHI = q.parse_formula(TEXT)
 PP = q.parse_formula("exists x . exists y . exists z . (E(x,y) & E(y,z) & x = z)")
 PP_STRUCT = q.structure_of_pp(PP)
+# minor-min-width 3, min-fill 4: treewidth_exact runs the decision search too
+FALLBACK = digraph([f"v{i}" for i in range(7)], {
+    ("v0", "v1"), ("v0", "v2"), ("v0", "v4"), ("v0", "v5"), ("v1", "v3"), ("v1", "v6"),
+    ("v2", "v4"), ("v2", "v5"), ("v2", "v6"), ("v3", "v4"), ("v3", "v5"), ("v4", "v6"),
+})
 
 CALLS = {
     "eval_naive": lambda: q.eval_naive(PHI, B),
@@ -30,6 +35,8 @@ CALLS = {
     "pp_from_decomposition": lambda: q.pp_from_decomposition(
         PP_STRUCT, q.treewidth_upper(PP_STRUCT)[1], 2
     ),
+    "treewidth_exact": lambda: q.treewidth_exact(FALLBACK),
+    "decide_ppk": lambda: q.decide_ppk(q.canonical_query(FALLBACK), 4),
 }
 
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import epquery as q
+from epquery.treewidth import minor_min_width
 from helpers import (
     E2,
     all_structures,
@@ -15,6 +16,8 @@ from helpers import (
     path_digraph,
     random_structure,
     rescan_treewidth_upper,
+    table_treewidth_exact,
+    triangulated_grid,
 )
 
 PET = q.Signature(
@@ -92,6 +95,49 @@ def test_treewidth_exact_limit():
     big = digraph([f"v{i}" for i in range(21)], set())
     with pytest.raises(q.LimitExceeded):
         q.treewidth_exact(big)
+
+
+def _seeded_graphs():
+    # At these densities minor-min-width and min-fill disagree on about one
+    # graph in twelve, so the decision search runs as well as the bounds.
+    rng = random.Random(89)
+    for _ in range(200):
+        universe = tuple(f"v{i}" for i in range(rng.randint(4, 11)))
+        density = rng.choice((0.4, 0.55, 0.7))
+        yield digraph(
+            universe, {(x, y) for x in universe for y in universe if x < y and rng.random() < density}
+        )
+
+
+SEEDED_GRAPHS = list(_seeded_graphs())
+
+
+def test_treewidth_exact_matches_table_reference():
+    fallbacks = improved = 0
+    for s in SEEDED_GRAPHS:
+        width, witness = q.treewidth_exact(s)
+        assert width == table_treewidth_exact(s)[0]
+        assert witness.width() == width
+        assert q.validate_decomposition(s, witness)
+        upper = q.treewidth_upper(s)[0]
+        fallbacks += minor_min_width(s) != upper
+        improved += width < upper
+    assert fallbacks >= 10
+    assert improved >= 1  # the decision search finds widths min-fill misses
+
+
+def test_treewidth_bounds_bracket_exact():
+    for s in SEEDED_GRAPHS:
+        assert minor_min_width(s) <= q.treewidth_exact(s)[0] <= q.treewidth_upper(s)[0]
+
+
+def test_treewidth_exact_triangulated_grid_from_bounds():
+    # 20 elements: the subset table over 2**20 sets took about 37 s here
+    grid = triangulated_grid(4, 5)
+    assert minor_min_width(grid) == 4
+    width, witness = q.treewidth_exact(grid)
+    assert width == witness.width() == 4
+    assert q.validate_decomposition(grid, witness)
 
 
 def test_treewidth_upper_examples():
@@ -222,6 +268,22 @@ def test_decide_ppk_examples():
 
     collapse = q.parse_formula("exists x . exists y . (x = y & E(x,y))")
     assert q.decide_ppk(collapse, 1)
+
+
+def test_decide_ppk_matches_exact_width():
+    # Canonical queries of graphs with one label per element: each is its
+    # own core, so the width of its graph decides it.
+    rng = random.Random(97)
+    for _ in range(40):
+        n = rng.randint(5, 10)
+        density = rng.choice((0.4, 0.5, 0.6, 0.7))
+        universe = tuple(f"v{i}" for i in range(n))
+        relations = {"E": {(x, y) for x in universe for y in universe
+                           if x < y and rng.random() < density}}
+        relations.update({f"L{i + 1}": {(universe[i],)} for i in range(n)})
+        psi = q.canonical_query(q.Structure(q.labelled_signature(n), universe, relations))
+        width, _ = table_treewidth_exact(q.core(q.structure_of_pp(psi)))
+        assert [q.decide_ppk(psi, k) for k in range(1, 6)] == [width < k for k in range(1, 6)]
 
 
 def test_decomposition_text_round_trip():
