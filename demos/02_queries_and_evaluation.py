@@ -37,8 +37,9 @@ print("edge sentence entails loop sentence:", q.pp_entails(edge_query, loop_quer
 # Four strategies produce the same verdict:
 #   naive          recursion over all assignments
 #   kvar           bottom-up relations over at most k variables
-#   dnf-hom        one homomorphism test per disjunct
-#   pp-reduction   the same through the normalized disjunct set
+#   dnf-hom        one homomorphism search per disjunct, an Or of atoms
+#                  kept whole as one union constraint of the search
+#   pp-reduction   one search per member of the normalized disjunct set
 for b, name in ((loop, "loop"), (edge, "edge")):
     verdicts = [
         q.eval_naive(phi, b),

@@ -2,8 +2,9 @@
 
 Four routes to the same verdict: a walk over all assignments and the
 bounded-variable bottom-up evaluator, both on ``formulas.walk``'s stack;
-reduction of each primitive positive disjunct to a homomorphism test; and
-the product-based round trip through the normalized disjunct set.
+one homomorphism search per disjunct, where each ``Or`` of atoms stays
+whole as a union constraint of the search; and the product-based round trip
+through the normalized disjunct set.
 """
 
 from __future__ import annotations
@@ -29,13 +30,14 @@ from .formulas import (
     Not,
     Or,
     _free_sets,
+    _structure_and_unions,
     classify,
     structure_of_pp,
     subformulas,
     walk,
 )
-from .homomorphism import SearchStats, find_homomorphism, hom_equivalent
-from .normalize import m_normalize, to_pp_disjunction
+from .homomorphism import SearchStats, _search, hom_equivalent
+from .normalize import _disjuncts, m_normalize
 from .structures import Structure, product, project_rows, repetition_pattern
 
 
@@ -310,16 +312,24 @@ def _greedy_join(parts, run):
 
 def _some_disjunct_maps(disjuncts, b, max_nodes, stats):
     for psi in disjuncts:
-        struct = structure_of_pp(psi, b.signature)
-        if find_homomorphism(struct, b, max_nodes=max_nodes, stats=stats) is not None:
+        struct, unions = _structure_and_unions(psi, b.signature)
+        if _search(struct, unions, b, None, max_nodes, stats) is not None:
             return True
     return False
 
 
 def eval_dnf_hom(phi, b, *, max_disjuncts=MAX_DISJUNCTS, max_nodes=MAX_NODES, stats=None):
-    """Existential positive evaluation: some disjunct's structure maps into b."""
+    """Existential positive evaluation: some disjunct's structure maps into b.
+
+    The sentence is flattened except that each ``Or`` whose children are all
+    atoms stays whole, so H_n gives one disjunct where full flattening gives
+    n^n.  Each disjunct is one homomorphism search in which every kept ``Or``
+    is a union constraint: it holds when one of its atoms maps to a tuple of
+    b.  ``max_disjuncts`` bounds the disjuncts of this partial flattening,
+    and ``stats.nodes`` counts the nodes of these searches.
+    """
     _check_symbols(phi, b)
-    disjuncts = to_pp_disjunction(phi, max_disjuncts=max_disjuncts)
+    disjuncts = _disjuncts(phi, max_disjuncts, True)
     return _some_disjunct_maps(disjuncts, b, max_nodes, stats)
 
 

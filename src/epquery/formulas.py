@@ -245,9 +245,32 @@ def _free_sets(nodes):
     return free
 
 
+def _root_free(f):
+    # Free variables of f alone, in one preorder walk: a quantifier binds its
+    # variable until the walk leaves its scope, so no per-node sets are built.
+    free = set()
+    bound = {}  # name -> quantifiers binding it on the current path
+    stack = [(f, False)]
+    while stack:
+        g, leaving = stack.pop()
+        kind = type(g)
+        if leaving:
+            bound[g.var] -= 1
+        elif kind is Atom:
+            free.update(x for x in g.args if not bound.get(x))
+        elif kind is Equality:
+            free.update(x for x in (g.left, g.right) if not bound.get(x))
+        else:
+            if kind is Exists or kind is Forall:
+                bound[g.var] = bound.get(g.var, 0) + 1
+                stack.append((g, True))
+            stack.extend((c, False) for c in reversed(children(g)))
+    return free
+
+
 def free_variables(f):
     """Variables with at least one occurrence not bound by a quantifier."""
-    return frozenset(_free_sets(subformulas(f))[id(f)])
+    return frozenset(_root_free(f))
 
 
 @dataclass(frozen=True)
@@ -272,7 +295,7 @@ def classify(f):
         fragment=fragment,
         variables=len(_variable_set(nodes)),
         equality_free=Equality not in kinds,
-        closed=not _free_sets(nodes)[id(f)],
+        closed=not _root_free(f),
     )
 
 
@@ -524,13 +547,25 @@ def structure_of_pp(psi, signature=None):
         raise FragmentError("a primitive positive sentence is required")
     if not info.closed:
         raise FragmentError("a closed sentence is required")
+    return _structure_and_unions(psi, signature)[0]
+
+
+def _structure_and_unions(psi, signature=None):
+    """``structure_of_pp`` of a closed sentence that may also hold ``Or``s of atoms.
+
+    The structure comes from everything outside those ``Or``s; each ``Or``
+    comes back as a list of (symbol, arguments) over the merged variables.
+    """
     renamed = walk(_alpha_rename(psi, {}, set(variable_names(psi)), set()))
 
     # Preorder lists the quantified variables in quantifier-prefix order.
     quantified = []
     atoms = []
     equalities = []
-    for g in subformulas(renamed):
+    ors = []
+    stack = [renamed]
+    while stack:
+        g = stack.pop()
         kind = type(g)
         if kind is Exists:
             quantified.append(g.var)
@@ -538,6 +573,10 @@ def structure_of_pp(psi, signature=None):
             atoms.append(g)
         elif kind is Equality:
             equalities.append((g.left, g.right))
+        elif kind is Or:
+            ors.append(g.children)
+            continue
+        stack.extend(reversed(children(g)))
 
     parent = {v: v for v in quantified}
 
@@ -565,14 +604,20 @@ def structure_of_pp(psi, signature=None):
 
     if signature is None:
         signature = formula_signature(psi)
-    relations = {}
-    for atom in atoms:
+
+    def merged(atom):
         if atom.symbol not in signature:
             raise EpqError(f"symbol {atom.symbol!r} is not in the supplied signature")
         if signature.arity(atom.symbol) != len(atom.args):
             raise EpqError(f"arity mismatch for symbol {atom.symbol!r}")
-        relations.setdefault(atom.symbol, set()).add(tuple(find(x) for x in atom.args))
-    return Structure(signature, tuple(universe), relations)
+        return atom.symbol, tuple(find(x) for x in atom.args)
+
+    relations = {}
+    for atom in atoms:
+        name, args = merged(atom)
+        relations.setdefault(name, set()).add(args)
+    unions = [[merged(atom) for atom in branches] for branches in ors]
+    return Structure(signature, tuple(universe), relations), unions
 
 
 def pp_entails(psi, psi_prime, *, signature=None, max_nodes=MAX_NODES, stats=None):

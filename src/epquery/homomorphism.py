@@ -14,8 +14,17 @@ the source tuple's repetition pattern.
   revision walks those or the values still left, whichever are fewer.
   Constraints of arity three or more rescan their rows.  Generalized arc
   consistency runs after every assignment.
-- The search keeps its own stack of (variable, values left, domains on
-  entry), so its depth is not bound by the interpreter's recursion limit.
+- A search may also carry union constraints, each a disjunction of atoms
+  over source elements (``eval_dnf_hom`` makes one from each ``Or`` of
+  atoms).  One is revised by constructive disjunction once the other
+  constraints are settled: a branch is alive while its atom has a support
+  inside the domains, no live branch is a wipe-out, and a variable in every
+  live branch keeps only the values some live branch supports.  Without
+  unions the search is the plain one, node for node.
+- Every narrowing is logged on a trail as (variable, old mask), and the
+  search keeps its own stack of (variable, values left, trail length), so
+  backtracking undoes the trail instead of copying the domains at each
+  level, and depth is not bound by the interpreter's recursion limit.
 
 Variables are picked by fewest remaining candidates with a degree
 tie-break, values in target universe order, so both the verdict and the
@@ -110,34 +119,104 @@ def _prepared(target):
     return table
 
 
-def _propagate(domains, arcs, scans, queue):
-    """Narrow ``domains`` to generalized arc consistency; False on a wipe-out.
+def _reach(values, table):
+    # the union of table[v] over the values v in the mask
+    out = 0
+    while values:
+        bit = values & -values
+        values ^= bit
+        out |= table[bit.bit_length() - 1]
+    return out
+
+
+def _supported(vars, entry, domains):
+    """Per variable of one atom, the values it takes in a support that lies
+    inside the current domains: all zero exactly when the atom has none."""
+    supports, cols, fwd, rev = entry
+    if len(vars) == 1:
+        return [domains[vars[0]] & cols[0]]
+    if len(vars) == 2:
+        x, y = vars
+        kept_x = domains[x] & _reach(domains[y], rev)
+        return [kept_x, domains[y] & _reach(kept_x, fwd)]
+    doms = [domains[v] for v in vars]
+    seen = [0] * len(vars)
+    for row in supports:
+        for i, val in enumerate(row):
+            if not doms[i] >> val & 1:
+                break
+        else:
+            for i, val in enumerate(row):
+                seen[i] |= 1 << val
+    return seen
+
+
+def _union_kept(branches, domains):
+    """Constructive disjunction over the atoms of one union constraint.
+
+    A branch is alive while its atom has a support inside the domains.  Each
+    variable that occurs in every live branch keeps the values some live
+    branch supports; other variables are not narrowed.  None when no branch
+    is alive.
+    """
+    live = []
+    for vars, entry in branches:
+        seen = _supported(vars, entry, domains)
+        if seen[0]:
+            live.append((vars, seen))
+    if not live:
+        return None
+    kept = dict.fromkeys(set(live[0][0]).intersection(*(vars for vars, _ in live[1:])), 0)
+    for vars, seen in live:
+        for v, values in zip(vars, seen):
+            if v in kept:
+                kept[v] |= values
+    return kept
+
+
+def _remove(domains, v, removed, queue, trail):
+    # Take ``removed`` out of v's domain, logging the old mask; False if none is left.
+    dom = domains[v]
+    if removed == dom:
+        return False
+    trail.append((v, dom))
+    domains[v] = dom ^ removed
+    queue[v] = queue.get(v, 0) | removed
+    return True
+
+
+def _propagate(domains, arcs, scans, unions, queue, trail):
+    """Narrow ``domains`` to a fixpoint of the constraints; False on a wipe-out.
 
     ``queue`` maps each variable to the values it lost since it was last
-    processed.  Processing ``x`` rescans the rows of its constraints of arity
+    processed, and every narrowing is logged on ``trail`` as (variable, old
+    mask).  Processing ``x`` rescans the rows of its constraints of arity
     three or more, then revises its binary arcs ``x -> y`` from whichever is
-    smaller: the values ``x`` still has, or the values it lost.  The result
-    is the unique largest consistent sub-domain, whatever the queue order.
+    smaller: the values ``x`` still has, or the values it lost.  Its union
+    constraints wait until the queue is empty, so that each is revised
+    against settled domains.  Each revision only drops values without
+    support, so the result is the unique largest fixpoint, whatever the
+    order.
     """
-    while queue:
+    pending = {}  # union constraints to revise once the queue is empty
+    while queue or pending:
+        if not queue:
+            kept = _union_kept(pending.popitem()[1], domains)
+            if kept is None:
+                return False
+            for v, values in kept.items():
+                removed = domains[v] & ~values
+                if removed:  # values is never empty: its live branches support it
+                    _remove(domains, v, removed, queue, trail)
+            continue
         x, lost = queue.popitem()
-        for vars, rows in scans[x]:
-            doms = [domains[v] for v in vars]
-            unions = [0] * len(vars)
-            for row in rows:
-                for i, val in enumerate(row):
-                    if not doms[i] >> val & 1:
-                        break
-                else:
-                    for i, val in enumerate(row):
-                        unions[i] |= 1 << val
-            for v, dom, union in zip(vars, doms, unions):
-                removed = dom & ~union
-                if removed:
-                    if removed == dom:
-                        return False
-                    domains[v] = dom ^ removed
-                    queue[v] = queue.get(v, 0) | removed
+        for vars, entry in scans[x]:
+            for v, kept in zip(vars, _supported(vars, entry, domains)):
+                removed = domains[v] & ~kept
+                if removed and not _remove(domains, v, removed, queue, trail):
+                    return False
+        if x in unions:
+            pending.update(unions[x])
         dom_x = domains[x]
         from_lost = lost.bit_count() < dom_x.bit_count()
         for out, back, ys in arcs[x]:
@@ -164,6 +243,7 @@ def _propagate(domains, arcs, scans, queue):
                 if removed:
                     if removed == dom_y:
                         return False
+                    trail.append((y, dom_y))
                     domains[y] = dom_y ^ removed
                     queue[y] = queue.get(y, 0) | removed
     return True
@@ -176,6 +256,15 @@ def find_homomorphism(source, target, *, fixed=None, max_nodes=MAX_NODES, stats=
     ``max_nodes`` bounds the nodes this call searches, whether or not a
     ``stats`` record shared with other calls adds them to its running total;
     the budget surfaces as :class:`LimitExceeded` rather than a wrong answer.
+    """
+    return _search(source, (), target, fixed, max_nodes, stats)
+
+
+def _search(source, unions, target, fixed, max_nodes, stats):
+    """``find_homomorphism`` whose map must also satisfy the union constraints.
+
+    Each union is a sequence of (symbol, arguments over source elements),
+    and it holds when one of them maps to a target tuple.
     """
     if source.signature != target.signature:
         raise SignatureMismatch("homomorphism search needs similar structures")
@@ -199,12 +288,14 @@ def find_homomorphism(source, target, *, fixed=None, max_nodes=MAX_NODES, stats=
     # variable starts at the values with a support in every column it fills,
     # which is what a first revision against full domains would leave.
     arcs = [{} for _ in range(n)]  # id(partner masks) -> (partner masks, reverse masks, others)
-    scans = [[] for _ in range(n)]  # (variables, supports) of arity three or more
+    scans = [[] for _ in range(n)]  # (variables, table entry) of arity three or more
+    union_of = {}  # variable -> {id(branches): branches} of the unions over it
     degree = [0] * n
     for sym in source.signature:
         for t in source.relations[sym.name]:
             distinct, pattern = repetition_pattern(t)
-            supports, cols, fwd, rev = prepared.entry(sym.name, pattern)
+            entry = prepared.entry(sym.name, pattern)
+            _, cols, fwd, rev = entry
             vars = [sindex[x] for x in distinct]
             for v, col in zip(vars, cols):
                 domains[v] &= col
@@ -213,7 +304,7 @@ def find_homomorphism(source, target, *, fixed=None, max_nodes=MAX_NODES, stats=
                     arcs[x].setdefault(id(out), (out, back, []))[2].append(y)
             elif len(vars) > 2:
                 for v in vars:
-                    scans[v].append((vars, supports))
+                    scans[v].append((vars, entry))
             if len(vars) > 1:
                 for v in vars:
                     degree[v] += 1
@@ -221,7 +312,19 @@ def find_homomorphism(source, target, *, fixed=None, max_nodes=MAX_NODES, stats=
         return None
     arcs = [list(groups.values()) for groups in arcs]
     queue = {v: full ^ dom for v, dom in enumerate(domains) if dom != full}
-    if not _propagate(domains, arcs, scans, queue):
+    for union in unions:
+        branches = []
+        for name, args in union:
+            distinct, pattern = repetition_pattern(args)
+            branches.append(([sindex[x] for x in distinct], prepared.entry(name, pattern)))
+        scope = sorted({v for vars, _ in branches for v in vars})
+        for v in scope:
+            union_of.setdefault(v, {})[id(branches)] = branches
+            if len(scope) > 1:
+                degree[v] += 1
+        queue.setdefault(scope[0], 0)  # so that the union is revised before the search
+    trail = []
+    if not _propagate(domains, arcs, scans, union_of, queue, trail):
         return None
     counters = stats if stats is not None else SearchStats()
     budget = counters.nodes + max_nodes
@@ -232,16 +335,21 @@ def find_homomorphism(source, target, *, fixed=None, max_nodes=MAX_NODES, stats=
                     if dom & (dom - 1)), default=None)
         return None if best is None else best[2]
 
-    # Depth-first over (variable, values left to try, domains on entry);
-    # values go in target universe order, so the witness is deterministic.
+    # Depth-first over (variable, values left to try, trail length on entry);
+    # returning to a frame undoes the trail down to its length, which restores
+    # the domains it was entered with.  Values go in target universe order,
+    # so the witness is deterministic.
     stack = []
     while (var := choose()) is not None:
-        stack.append([var, domains[var], domains[:]])
+        stack.append([var, domains[var], len(trail)])
         while True:
             if not stack:
                 return None
             frame = stack[-1]
-            var, rest, saved = frame
+            var, rest, mark = frame
+            while len(trail) > mark:
+                v, dom = trail.pop()
+                domains[v] = dom
             if not rest:
                 stack.pop()
                 continue
@@ -250,11 +358,12 @@ def find_homomorphism(source, target, *, fixed=None, max_nodes=MAX_NODES, stats=
             counters.nodes += 1
             if counters.nodes > budget:
                 raise LimitExceeded("homomorphism search nodes", max_nodes)
-            domains[:] = saved
+            entered = domains[var]
+            trail.append((var, entered))
             domains[var] = bit
-            if _propagate(domains, arcs, scans, {var: saved[var] ^ bit}):
+            if _propagate(domains, arcs, scans, union_of, {var: entered ^ bit}, trail):
                 break
-    # every domain is a singleton, and arc consistency makes the map a homomorphism
+    # every domain is a singleton, and the fixpoint makes the map a homomorphism
     mapping = {source.universe[i]: target.universe[domains[i].bit_length() - 1] for i in range(n)}
     return Homomorphism(source, target, mapping)
 

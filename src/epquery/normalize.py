@@ -35,32 +35,40 @@ def to_pp_disjunction(phi, *, max_disjuncts=MAX_DISJUNCTS):
     The rewrite keeps the set of variable names unchanged and emits disjuncts
     in left-to-right generation order.
     """
+    return _disjuncts(phi, max_disjuncts, False)
+
+
+def _disjuncts(phi, max_disjuncts, keep_unions):
+    # The body of to_pp_disjunction.  With keep_unions, an Or whose children
+    # are all atoms stays one leaf instead of being distributed.
     info = classify(phi)
     if info.fragment not in ("PP", "EP"):
         raise FragmentError("an existential positive sentence is required")
     if not info.closed:
         raise FragmentError("a closed sentence is required")
 
-    return walk(_dnf(phi, max_disjuncts))
+    return walk(_dnf(phi, max_disjuncts, keep_unions))
 
 
-def _dnf(f, max_disjuncts):
+def _dnf(f, max_disjuncts, keep_unions):
     kind = type(f)
     if kind is Atom or kind is Equality:
         return [f]
     if kind is Exists:
-        return [Exists(f.var, d) for d in (yield _dnf(f.child, max_disjuncts))]
+        return [Exists(f.var, d) for d in (yield _dnf(f.child, max_disjuncts, keep_unions))]
     if kind is Or:
+        if keep_unions and all(type(c) is Atom for c in f.children):
+            return [f]
         out = []
         for c in f.children:
-            out.extend((yield _dnf(c, max_disjuncts)))
+            out.extend((yield _dnf(c, max_disjuncts, keep_unions)))
             if len(out) > max_disjuncts:
                 raise LimitExceeded("disjunct count", max_disjuncts)
         return out
     lists = []
     count = 1
     for c in f.children:
-        lists.append((yield _dnf(c, max_disjuncts)))
+        lists.append((yield _dnf(c, max_disjuncts, keep_unions)))
         count *= len(lists[-1])
         if count > max_disjuncts:
             raise LimitExceeded("disjunct count", max_disjuncts)

@@ -4,10 +4,11 @@ The oracles here deliberately avoid the library's search code paths:
 homomorphism existence is decided by enumerating every map, treewidth by
 enumerating every elimination order, satisfiability by enumerating every
 assignment.  The reference versions at the end (``restart_core``,
-``two_phase_m_normalize``, ``rescan_treewidth_upper`` and
-``table_treewidth_exact``) do use the library: they are the earlier,
-plainer control flow of ``core``, ``m_normalize``, ``treewidth_upper`` and
-``treewidth_exact``, kept to pin their outputs.
+``two_phase_m_normalize``, ``rescan_treewidth_upper``,
+``table_treewidth_exact`` and ``flat_eval_dnf_hom``) do use the library:
+they are the earlier, plainer control flow of ``core``, ``m_normalize``,
+``treewidth_upper``, ``treewidth_exact`` and ``eval_dnf_hom``, kept to pin
+their outputs.
 """
 
 import itertools
@@ -162,6 +163,50 @@ def random_ep_formula(rng, signature, max_vars=4, max_depth=4):
     for v in sorted(q.free_variables(sentence)):
         sentence = q.Exists(v, sentence)
     return sentence
+
+
+UNION_SIG = q.Signature(
+    [q.RelationSymbol("P", 1), q.RelationSymbol("E", 2), q.RelationSymbol("T", 3)]
+)
+
+
+def random_union_sentence(rng, max_vars=4, max_depth=3):
+    """A closed EP sentence over P/1, E/2 and T/3 rich in ``Or``s of atoms.
+
+    Atoms repeat arguments freely; some ``Or``s put each branch on its own
+    variable; and ``Or``s of atoms also sit inside ``Or``s whose children
+    are compound.  Atoms only use in-scope variables, and quantifiers reuse
+    names, so inner ones shadow outer ones.
+    """
+    pool = [f"w{i}" for i in range(1, max_vars + 1)]
+    symbols = list(UNION_SIG)
+
+    def atom(scope):
+        sym = rng.choice(symbols)
+        return q.Atom(sym.name, tuple(rng.choice(scope) for _ in range(sym.arity)))
+
+    def union(scope):
+        if len(scope) > 1 and rng.random() < 0.3:  # one branch per variable
+            return q.Or(tuple(atom([v]) for v in scope))
+        return q.Or(tuple(atom(scope) for _ in range(rng.randint(2, 3))))
+
+    def gen(depth, scope):
+        if not scope:
+            v = rng.choice(pool)
+            return q.Exists(v, gen(depth - 1, [v]))
+        roll = rng.random()
+        if depth <= 0:
+            return atom(scope) if roll < 0.4 else union(scope)
+        if roll < 0.3:
+            v = rng.choice(pool)
+            return q.Exists(v, gen(depth - 1, sorted(set(scope) | {v})))
+        if roll < 0.55:
+            return q.And((gen(depth - 1, scope), gen(depth - 1, scope)))
+        if roll < 0.8:  # an Or with compound children
+            return q.Or((gen(depth - 1, scope), q.And((union(scope), gen(depth - 1, scope)))))
+        return union(scope)
+
+    return gen(max_depth, [])
 
 
 def random_pp_formula(rng, signature, max_vars=3, max_depth=3):
@@ -338,3 +383,13 @@ def table_treewidth_exact(a):
         mask &= ~(1 << pick)
     order = [a.universe[v] for v in reversed(order_rev)]
     return best[full], q.decomposition_from_order(a, order)
+
+
+def flat_eval_dnf_hom(phi, b, *, stats=None):
+    """Reference ``eval_dnf_hom``: flatten every ``Or``, then run one
+    ``find_homomorphism`` per primitive positive disjunct."""
+    for psi in q.to_pp_disjunction(phi):
+        struct = q.structure_of_pp(psi, b.signature)
+        if q.find_homomorphism(struct, b, stats=stats) is not None:
+            return True
+    return False

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import random
 
 import pytest
@@ -5,9 +7,14 @@ import pytest
 import epquery as q
 from helpers import (
     E2,
+    UNION_SIG,
+    cnf_satisfiable,
     digraph,
+    flat_eval_dnf_hom,
     random_ep_formula,
+    random_cnf,
     random_structure,
+    random_union_sentence,
     sparse_digraph,
     triangulated_grid,
 )
@@ -209,6 +216,90 @@ def test_eval_dnf_hom_agrees_with_naive():
         f = random_ep_formula(rng, EPQ_SIG)
         b = random_structure(rng, EPQ_SIG, 3)
         assert q.eval_dnf_hom(f, b) == q.eval_naive(f, b)
+
+
+def _atom_ors(f):
+    return [g for g in q.subformulas(f)
+            if type(g) is q.Or and all(type(c) is q.Atom for c in g.children)]
+
+
+def test_eval_dnf_hom_union_constraints_agree_with_naive():
+    # Ors of unary, binary and ternary atoms with repeated arguments, on
+    # disjoint variables, and inside Ors with compound children.
+    rng = random.Random(101)
+    verdicts = []
+    shapes = collections.Counter()
+    for _ in range(300):
+        f = random_union_sentence(rng)
+        b = random_structure(rng, UNION_SIG, 3, density=rng.choice([0.15, 0.3]))
+        verdict = q.eval_dnf_hom(f, b)
+        assert verdict == q.eval_naive(f, b) == flat_eval_dnf_hom(f, b)
+        verdicts.append(verdict)
+        for g in _atom_ors(f):
+            shapes.update({c.symbol for c in g.children})
+            shapes["repeated"] += any(len(set(c.args)) < len(c.args) for c in g.children)
+            shapes["disjoint"] += all(set(c.args).isdisjoint(d.args)
+                                      for c, d in itertools.combinations(g.children, 2))
+        # an Or with a compound child is no Or of atoms, so those it holds are below it
+        shapes["nested"] += any(type(g) is q.Or and any(type(c) is not q.Atom for c in g.children)
+                                and _atom_ors(g) for g in q.subformulas(f))
+    assert 100 < sum(verdicts) < 200
+    assert min(shapes[k] for k in ("P", "E", "T", "repeated", "disjoint", "nested")) > 20
+
+
+def _hamiltonian_reference_cases():
+    # Every 2-vertex digraph, and one 3-vertex digraph per isomorphism class
+    # with the relabelled copies of it: the flattened reference searches 27
+    # disjuncts per false instance, so it runs once per class.
+    for names in (("a0", "a1"), ("a0", "a1", "a2")):
+        pairs = list(itertools.product(names, repeat=2))
+        classes = {}
+        for mask in range(1 << len(pairs)):
+            edges = {pairs[i] for i in range(len(pairs)) if mask >> i & 1}
+            key = min(tuple(sorted((p[x], p[y]) for x, y in edges))
+                      for p in (dict(zip(names, perm)) for perm in itertools.permutations(names)))
+            classes.setdefault(key, []).append(digraph(names, edges))
+        yield from classes.values()
+
+
+@pytest.mark.parametrize("lift", [None, 3])
+def test_eval_dnf_hom_matches_flat_reference_on_hamiltonian_reductions(lift):
+    seen = 0
+    for copies in _hamiltonian_reference_cases():
+        red = q.reduce_hamiltonian(copies[0], lift)
+        expected = flat_eval_dnf_hom(red.sentence, red.structure)
+        assert expected == q.brute_force_hamiltonian(copies[0])
+        for g in copies:
+            red = q.reduce_hamiltonian(g, lift)
+            assert q.eval_dnf_hom(red.sentence, red.structure) == expected
+            seen += 1
+    assert seen == 16 + 512
+
+
+def test_eval_dnf_hom_decides_two_symbols_and_unary_sat_bundles():
+    rng = random.Random(103)
+    cnfs = [random_cnf(rng, max_vars=6, max_clauses=12) for _ in range(60)]
+    for satisfiable in (True, False):
+        # 11 variables and 47 three-literal clauses, as in the benchmark; an
+        # unsatisfiable one holds all eight sign patterns over three variables
+        hidden = [rng.random() < 0.5 for _ in range(11)]
+        clauses = []
+        while len(clauses) < 47:
+            clause = frozenset(v if rng.random() < 0.5 else -v
+                               for v in rng.sample(range(1, 12), 3))
+            if not satisfiable or any((lit > 0) == hidden[abs(lit) - 1] for lit in clause):
+                clauses.append(clause)
+        if not satisfiable:
+            clauses[:8] = [frozenset({a, b, c}) for a in (1, -1) for b in (2, -2) for c in (3, -3)]
+        cnfs.append(q.CnfFormula(11, tuple(clauses)))
+    for cnf in cnfs:
+        truth = cnf_satisfiable(cnf)
+        for mode, arity in (("two-symbols", 1), ("two-symbols", 3), ("unary", 2)):
+            inst = q.reduce_sat(cnf, mode, arity)
+            assert q.eval_dnf_hom(inst.sentence, inst.structure) == truth
+    assert [cnf_satisfiable(cnf) for cnf in cnfs[-2:]] == [True, False]
+    with pytest.raises(q.LimitExceeded, match="disjunct count"):
+        q.to_pp_disjunction(q.reduce_sat(cnfs[-1], "unary").sentence)
 
 
 def test_eval_via_pp_turing_agrees():

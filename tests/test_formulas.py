@@ -3,6 +3,7 @@ import random
 import pytest
 
 import epquery as q
+from epquery.formulas import _free_sets
 from helpers import (
     E2,
     all_structures,
@@ -123,6 +124,37 @@ def test_classify_examples():
     with_eq = q.parse_formula("exists x . (x = x & P(x))")
     assert not q.classify(with_eq).equality_free
     assert q.classify(with_eq).closed
+
+
+def test_free_variables_match_per_node_sets():
+    # one scoped walk agrees with the bottom-up sets eval_naive still builds,
+    # on open formulas where quantifiers shadow and rebind names
+    rng = random.Random(37)
+    pool = ["x", "y", "z"]
+
+    def gen(depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.2:
+            if rng.random() < 0.7:
+                return q.Atom("E", (rng.choice(pool), rng.choice(pool)))
+            return q.Equality(rng.choice(pool), rng.choice(pool))
+        if roll < 0.5:
+            return rng.choice([q.Exists, q.Forall])(rng.choice(pool), gen(depth - 1))
+        if roll < 0.6:
+            return q.Not(gen(depth - 1))
+        return rng.choice([q.And, q.Or])((gen(depth - 1), gen(depth - 1)))
+
+    closed = 0
+    for _ in range(300):
+        f = gen(5)
+        sets = _free_sets(q.subformulas(f))
+        for g in q.subformulas(f):
+            assert q.free_variables(g) == sets[id(g)]
+        assert q.classify(f).closed == (not sets[id(f)])
+        closed += q.classify(f).closed
+    assert 5 < closed < 295
+    shadowed = q.parse_formula("(exists x . (E(x,y) & (exists y . E(y,y)))) | (exists z . E(z,x))")
+    assert q.free_variables(shadowed) == {"x", "y"}
 
 
 def test_canonical_query_loop():

@@ -1,10 +1,12 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 import epquery as q
 from epquery import homomorphism
+from epquery.structures import repetition_pattern
 from helpers import (
     E2,
     all_structures,
@@ -12,6 +14,7 @@ from helpers import (
     clique_digraph,
     cycle_digraph,
     digraph,
+    flat_eval_dnf_hom,
     path_digraph,
     random_structure,
     restart_core,
@@ -255,8 +258,13 @@ def test_hamiltonian_search_nodes_and_witness_are_pinned(lift):
 
     no_cycle = digraph(["a0", "a1", "a2"], {("a0", "a1"), ("a1", "a0"), ("a1", "a2"), ("a2", "a2")})
     red = q.reduce_hamiltonian(no_cycle, lift)
+    # one search, each successor pick a union constraint, against 27
+    # searches of 81 nodes over the flattened disjuncts
     stats = q.SearchStats()
     assert not q.eval_dnf_hom(red.sentence, red.structure, stats=stats)
+    assert stats.nodes == 324
+    stats = q.SearchStats()
+    assert not flat_eval_dnf_hom(red.sentence, red.structure, stats=stats)
     assert stats.nodes == 2187
 
 
@@ -272,6 +280,55 @@ def test_deep_search_needs_no_recursion():
     h = q.find_homomorphism(edges, cycle_digraph(2), stats=stats)
     assert h is not None and q.verify_homomorphism(h)
     assert stats.nodes == 1200  # one level per edge
+
+
+def test_search_memory_follows_the_trail():
+    # Backtracking undoes a trail of narrowed domains; a copy of every domain
+    # per level would take 1,200 frames of 2,400 masks, about 23 MiB.
+    edges = digraph(
+        [x for i in range(1200) for x in (f"a{i}", f"b{i}")],
+        {(f"a{i}", f"b{i}") for i in range(1200)},
+    )
+    target = cycle_digraph(2)
+    q.find_homomorphism(path_digraph(2), target)  # the target's tables are kept on it
+    tracemalloc.start()
+    try:
+        h = q.find_homomorphism(edges, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h is not None and q.verify_homomorphism(h)
+    assert peak < 8 * 2**20
+
+
+def _branch(target, name, args, sindex):
+    distinct, pattern = repetition_pattern(args)
+    return [sindex[x] for x in distinct], homomorphism._prepared(target).entry(name, pattern)
+
+
+def test_union_constraint_revision():
+    # P(x) | E(x,y) | E(x,z), then P(x) | T(y,y,z), revised by constructive disjunction
+    sig = q.Signature(
+        [q.RelationSymbol("P", 1), q.RelationSymbol("E", 2), q.RelationSymbol("T", 3)]
+    )
+    b = q.Structure(sig, ("0", "1", "2", "3"), {
+        "P": {("3",)}, "E": {("0", "1"), ("1", "2")}, "T": {("2", "2", "0")}})
+    sindex = {"x": 0, "y": 1, "z": 2}
+    branches = [_branch(b, "P", ("x",), sindex), _branch(b, "E", ("x", "y"), sindex),
+                _branch(b, "E", ("x", "z"), sindex)]
+    full = 0b1111
+    # x is in every branch: it keeps 3 (P), 0 and 1 (E); y and z are not narrowed
+    assert homomorphism._union_kept(branches, [full, full, full]) == {0: 0b1011}
+    # with P dead, x keeps what the two E branches support
+    assert homomorphism._union_kept(branches, [0b0111, full, full]) == {0: 0b0011}
+    # with one branch alive, every variable of it keeps that branch's support
+    assert homomorphism._union_kept(branches, [0b0111, 0b0001, 0b0100]) == {0: 0b0010, 2: 0b0100}
+    # no live branch is a wipe-out
+    assert homomorphism._union_kept(branches, [0b0100, full, full]) is None
+    # a ternary branch with a repeated argument shares no variable with P(x)
+    mixed = branches[:1] + [_branch(b, "T", ("y", "y", "z"), sindex)]
+    assert homomorphism._union_kept(mixed, [full, full, full]) == {}
+    assert homomorphism._union_kept(mixed, [0b0111, full, full]) == {1: 0b0100, 2: 0b0001}
 
 
 def test_prepared_target_is_invisible_to_equality():

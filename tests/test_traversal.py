@@ -15,6 +15,8 @@ SRC = pathlib.Path(q.__file__).parent
 B = digraph(["a", "b", "c"], {("a", "b"), ("b", "c"), ("c", "a")})
 TEXT = "exists x . exists y . (E(x,y) & (exists z . (E(y,z) | x = z)) & (exists x . E(y,x)))"
 PHI = q.parse_formula(TEXT)
+# the Or of atoms stays one union constraint in eval_dnf_hom's search
+UNIONS = q.parse_formula("exists x . exists y . exists z . (E(x,y) & (E(y,z) | E(z,x) | E(z,z)))")
 PP = q.parse_formula("exists x . exists y . exists z . (E(x,y) & E(y,z) & x = z)")
 PP_STRUCT = q.structure_of_pp(PP)
 # minor-min-width 3, min-fill 4: treewidth_exact runs the decision search too
@@ -27,6 +29,7 @@ CALLS = {
     "eval_naive": lambda: q.eval_naive(PHI, B),
     "eval_kvar": lambda: q.eval_kvar(PHI, B, 3),
     "eval_dnf_hom": lambda: q.eval_dnf_hom(PHI, B),
+    "eval_dnf_hom_unions": lambda: q.eval_dnf_hom(UNIONS, B),
     "structure_of_pp": lambda: q.structure_of_pp(PP),
     "render": lambda: q.render(PHI),
     "parse_formula": lambda: q.parse_formula(TEXT),
