@@ -35,7 +35,6 @@ from .formulas import (
     formula_signature,
     free_variables,
     parse_formula,
-    pp_entails,
     query_variable,
     rebuild,
     render,
@@ -84,7 +83,7 @@ from .homomorphism import (
     hom_equivalent,
     verify_homomorphism,
 )
-from .normalize import compile_unary, m_normalize, to_pp_disjunction
+from .normalize import compile_unary, m_normalize, pp_entails, to_pp_disjunction
 from .structures import (
     RelationSymbol,
     Signature,

@@ -11,6 +11,10 @@ Grammar (whitespace-insensitive, '#' starts a comment)::
 '&' binds tighter than '|'; quantifier and 'not' scope extends maximally to
 the right.  Identifiers are runs of letters, digits, and ``_ ^ @ '`` that
 are not the keywords exists/forall/not.
+
+``structure_of_pp`` renames bound variables apart in the walk that collects
+the induced structure.  Entailment, which needs homomorphisms, is in
+``normalize``.
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 
-from .errors import MAX_NODES, EpqError, FragmentError, ParseError
-from .homomorphism import find_homomorphism
+from .errors import EpqError, FragmentError, ParseError
 from .structures import RelationSymbol, Signature, Structure
 
 
@@ -513,28 +516,6 @@ def _fresh_name(base, taken):
     return f"{base}_{i}"
 
 
-def _alpha_rename(g, env, taken, bound_seen):
-    """Give every quantifier occurrence its own variable name, scope-aware."""
-    kind = type(g)
-    if kind is Atom:
-        return Atom(g.symbol, tuple(env[x] for x in g.args))
-    if kind is Equality:
-        return Equality(env[g.left], env[g.right])
-    if kind is Exists or kind is Forall:
-        if g.var in bound_seen:
-            new = _fresh_name(g.var, taken)
-            taken.add(new)
-        else:
-            new = g.var
-        bound_seen.add(new)
-        child = yield _alpha_rename(g.child, {**env, g.var: new}, taken, bound_seen)
-        return kind(new, child)
-    kids = []
-    for c in children(g):
-        kids.append((yield _alpha_rename(c, env, taken, bound_seen)))
-    return rebuild(g, kids)
-
-
 def structure_of_pp(psi, signature=None):
     """Structure induced by a primitive positive sentence.
 
@@ -555,28 +536,40 @@ def _structure_and_unions(psi, signature=None):
 
     The structure comes from everything outside those ``Or``s; each ``Or``
     comes back as a list of (symbol, arguments) over the merged variables.
+    One preorder walk renames bound variables apart as it collects: the
+    first quantifier of a name keeps it, later ones get a fresh name, and
+    every atom, equality and ``Or`` reads its innermost binder.
     """
-    renamed = walk(_alpha_rename(psi, {}, set(variable_names(psi)), set()))
-
-    # Preorder lists the quantified variables in quantifier-prefix order.
-    quantified = []
+    quantified = []  # in quantifier-prefix order
     atoms = []
     equalities = []
     ors = []
-    stack = [renamed]
+    given = {}  # name -> names given to the quantifiers binding it on the current path
+    taken = None  # every name in psi, read once a quantifier repeats a name
+    stack = [(psi, False)]
     while stack:
-        g = stack.pop()
+        g, leaving = stack.pop()
         kind = type(g)
-        if kind is Exists:
-            quantified.append(g.var)
+        if leaving:
+            given[g.var].pop()
         elif kind is Atom:
-            atoms.append(g)
+            atoms.append((g.symbol, tuple(given[x][-1] for x in g.args)))
         elif kind is Equality:
-            equalities.append((g.left, g.right))
+            equalities.append((given[g.left][-1], given[g.right][-1]))
         elif kind is Or:
-            ors.append(g.children)
-            continue
-        stack.extend(reversed(children(g)))
+            ors.append([(c.symbol, tuple(given[x][-1] for x in c.args)) for c in g.children])
+        else:
+            if kind is Exists:
+                new = g.var
+                if new in given:
+                    if taken is None:
+                        taken = variable_names(psi)
+                    new = _fresh_name(g.var, taken)
+                    taken.add(new)
+                given.setdefault(g.var, []).append(new)
+                quantified.append(new)
+                stack.append((g, True))
+            stack.extend((c, False) for c in reversed(children(g)))
 
     parent = {v: v for v in quantified}
 
@@ -605,32 +598,19 @@ def _structure_and_unions(psi, signature=None):
     if signature is None:
         signature = formula_signature(psi)
 
-    def merged(atom):
-        if atom.symbol not in signature:
-            raise EpqError(f"symbol {atom.symbol!r} is not in the supplied signature")
-        if signature.arity(atom.symbol) != len(atom.args):
-            raise EpqError(f"arity mismatch for symbol {atom.symbol!r}")
-        return atom.symbol, tuple(find(x) for x in atom.args)
+    def merged(symbol, args):
+        if symbol not in signature:
+            raise EpqError(f"symbol {symbol!r} is not in the supplied signature")
+        if signature.arity(symbol) != len(args):
+            raise EpqError(f"arity mismatch for symbol {symbol!r}")
+        return symbol, tuple(find(x) for x in args)
 
     relations = {}
-    for atom in atoms:
-        name, args = merged(atom)
+    for symbol, args in atoms:
+        name, args = merged(symbol, args)
         relations.setdefault(name, set()).add(args)
-    unions = [[merged(atom) for atom in branches] for branches in ors]
+    unions = [[merged(*atom) for atom in branches] for branches in ors]
     return Structure(signature, tuple(universe), relations), unions
-
-
-def pp_entails(psi, psi_prime, *, signature=None, max_nodes=MAX_NODES, stats=None):
-    """Entailment between primitive positive sentences via homomorphism.
-
-    ``psi`` entails ``psi_prime`` exactly when the structure of ``psi_prime``
-    maps homomorphically into the structure of ``psi``.
-    """
-    if signature is None:
-        signature = formula_signature(And((psi, psi_prime)))
-    left = structure_of_pp(psi, signature)
-    right = structure_of_pp(psi_prime, signature)
-    return find_homomorphism(right, left, max_nodes=max_nodes, stats=stats) is not None
 
 
 def replace_atoms(f, fn):

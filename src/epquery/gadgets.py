@@ -36,6 +36,9 @@ from .structures import (
 )
 from .treewidth import TreeDecomposition, pp_from_decomposition, validate_decomposition
 
+_MAX_EP6_N = 4  # hamiltonian_sentence_ep6 enumerates n**n successor maps
+_MAX_BRUTE_VERTICES = 8  # brute_force_hamiltonian tries (n - 1)! orderings
+
 
 def _tag(base, suffix):
     return f"{base}^{suffix}"
@@ -166,7 +169,7 @@ def successor_pattern(n, f):
     return Structure(base.signature, base.universe, relations)
 
 
-def hamiltonian_sentence_ep6(n, *, max_n=4):
+def hamiltonian_sentence_ep6(n):
     """Six-variable form of :func:`hamiltonian_sentence`.
 
     One disjunct per successor map: the gadget encoding of the map's pattern
@@ -176,8 +179,8 @@ def hamiltonian_sentence_ep6(n, *, max_n=4):
     """
     if n < 2:
         raise EpqError("need n >= 2")
-    if n > max_n:
-        raise LimitExceeded("successor-map enumeration bound", max_n)
+    if n > _MAX_EP6_N:
+        raise LimitExceeded("successor-map enumeration bound", _MAX_EP6_N)
     disjuncts = []
     for f in itertools.product(range(1, n + 1), repeat=n):
         pattern = successor_pattern(n, f)
@@ -315,15 +318,15 @@ def star_decomposition(b, d):
     return TreeDecomposition(tuple(nodes), tuple(edges), bags)
 
 
-def brute_force_hamiltonian(g, *, max_vertices=8):
+def brute_force_hamiltonian(g):
     """Directed Hamiltonian circuit by trying every vertex ordering."""
     if labelled_rank(g.signature) != 0:
         raise EpqError("input must be a plain digraph")
     n = len(g.universe)
     if n < 2:
         raise EpqError("need at least 2 vertices")
-    if n > max_vertices:
-        raise LimitExceeded("vertex orderings", max_vertices)
+    if n > _MAX_BRUTE_VERTICES:
+        raise LimitExceeded("vertex orderings", _MAX_BRUTE_VERTICES)
     edges = g.relations["E"]
     first = g.universe[0]
     for perm in itertools.permutations(g.universe[1:]):

@@ -1,11 +1,12 @@
 """Rewriting existential positive sentences into unions of primitive positive ones.
 
-``to_pp_disjunction`` applies the two distribution rules (pulling
-disjunction out of existential quantification and out of conjunction) bottom
-up; ``m_normalize`` then drops every disjunct that strictly entails another
-one, keeping a single representative per logical-equivalence class, so the
-surviving disjuncts are pairwise non-entailing while their disjunction stays
-equivalent to the input.
+``pp_entails`` decides entailment between two primitive positive sentences
+by a homomorphism between their induced structures.  ``to_pp_disjunction``
+applies the two distribution rules (pulling disjunction out of existential
+quantification and out of conjunction) bottom up; ``m_normalize`` then drops
+every disjunct that strictly entails another one, keeping a single
+representative per logical-equivalence class, so the surviving disjuncts are
+pairwise non-entailing while their disjunction stays equivalent to the input.
 """
 
 from __future__ import annotations
@@ -27,6 +28,19 @@ from .formulas import (
     walk,
 )
 from .homomorphism import find_homomorphism
+
+
+def pp_entails(psi, psi_prime, *, signature=None, max_nodes=MAX_NODES, stats=None):
+    """Entailment between primitive positive sentences via homomorphism.
+
+    ``psi`` entails ``psi_prime`` exactly when the structure of ``psi_prime``
+    maps homomorphically into the structure of ``psi``.
+    """
+    if signature is None:
+        signature = formula_signature(And((psi, psi_prime)))
+    left = structure_of_pp(psi, signature)
+    right = structure_of_pp(psi_prime, signature)
+    return find_homomorphism(right, left, max_nodes=max_nodes, stats=stats) is not None
 
 
 def to_pp_disjunction(phi, *, max_disjuncts=MAX_DISJUNCTS):

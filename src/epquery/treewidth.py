@@ -3,6 +3,8 @@
 Width is computed on the Gaifman graph (elements adjacent when they share a
 tuple); a tuple's elements form a clique there, so every valid graph
 decomposition covers every tuple and the two width notions coincide.
+Checking a decomposition and compiling it into a bounded-variable sentence
+share one rooted pass, which also gives each tuple its home bag.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from .errors import MAX_CORE, MAX_EXACT_TW, MAX_NODES, EpqError, LimitExceeded, ParseError
+from .errors import MAX_EXACT_TW, MAX_NODES, EpqError, LimitExceeded, ParseError
 from .formulas import Atom, Equality, Exists, conj, structure_of_pp, walk
 from .homomorphism import core
 
@@ -40,25 +42,61 @@ def gaifman_adjacency(a):
     return adj
 
 
-def _is_tree(nodes, edges):
-    if not nodes:
-        return False
-    if len(edges) != len(nodes) - 1:
-        return False
-    neighbours = {n: set() for n in nodes}
-    for x, y in edges:
-        if x not in neighbours or y not in neighbours or x == y:
-            return False
+def _placement(a, d):
+    """Each node's children and the tuples of ``a`` placed at it, or None
+    when ``d`` is not a valid decomposition of ``a``.
+
+    One walk roots the tree at its least node, preorder, children ascending.
+    An element's *tops* are the nodes holding it whose parent's bag lacks
+    it; its nodes are connected exactly when it has one.  A tuple's covering
+    nodes then form a subtree whose top is the last of its elements' tops in
+    preorder, so the tuple is covered iff that bag holds it, and that bag,
+    the shallowest covering one, is its home.
+    """
+    if len(set(d.nodes)) != len(d.nodes) or set(d.bags) != set(d.nodes):
+        return None
+    members = set(a.universe)
+    if not all(bag and set(bag) <= members for bag in d.bags.values()):
+        return None
+    if len(d.edges) != len(d.nodes) - 1:
+        return None
+    neighbours = {n: set() for n in d.nodes}
+    for x, y in d.edges:
+        if x not in neighbours or y not in neighbours:
+            return None
         neighbours[x].add(y)
         neighbours[y].add(x)
-    seen = {nodes[0]}
-    stack = [nodes[0]]
+
+    root = min(d.nodes)
+    parent = {root: None}
+    children = {}  # filled in preorder, so its size is the next node's position
+    tops = {}  # element -> (preorder position, node) of its top
+    stack = [root]
     while stack:
-        for nxt in neighbours[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == len(nodes)
+        node = stack.pop()
+        up = parent[node]
+        for elem in d.bags[node]:
+            if up is None or elem not in d.bags[up]:
+                if elem in tops:
+                    return None
+                tops[elem] = (len(children), node)
+        children[node] = sorted(n for n in neighbours[node] if n not in parent)
+        for n in children[node]:
+            parent[n] = node
+        stack.extend(reversed(children[node]))
+    if len(children) != len(d.nodes):  # n - 1 edges that reach every node form a tree
+        return None
+
+    placed = {node: [] for node in d.nodes}
+    for sym in a.signature:
+        for t in a.relations[sym.name]:
+            if not all(elem in tops for elem in t):
+                return None
+            _, home = max(tops[elem] for elem in t)
+            if not all(elem in d.bags[home] for elem in t):
+                return None
+            placed[home].append((sym.name, t))
+    return children, placed
 
 
 def validate_decomposition(a, d):
@@ -67,54 +105,7 @@ def validate_decomposition(a, d):
     Elements appearing in no bag are tolerated as long as they occur in no
     tuple; bags must be non-empty subsets of the universe.
     """
-    if len(set(d.nodes)) != len(d.nodes):
-        return False
-    if set(d.bags) != set(d.nodes):
-        return False
-    if not _is_tree(d.nodes, d.edges):
-        return False
-    members = set(a.universe)
-    for bag in d.bags.values():
-        if not bag or not set(bag) <= members:
-            return False
-
-    neighbours = {n: set() for n in d.nodes}
-    for x, y in d.edges:
-        neighbours[x].add(y)
-        neighbours[y].add(x)
-    occurrences = _bag_index(d)
-    for elem, nodes in occurrences.items():
-        start = next(iter(nodes))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for nxt in neighbours[stack.pop()]:
-                if nxt in nodes and nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if seen != nodes:
-            return False
-
-    for sym in a.signature:
-        for t in a.relations[sym.name]:
-            if not _covering(occurrences, t):
-                return False
-    return True
-
-
-def _bag_index(d):
-    """Element -> the set of nodes whose bags hold it."""
-    occurrences = {}
-    for node in d.nodes:
-        for elem in d.bags[node]:
-            occurrences.setdefault(elem, set()).add(node)
-    return occurrences
-
-
-def _covering(occurrences, t):
-    # Nodes whose bags hold every element of the tuple t.
-    sets = sorted((occurrences.get(elem, set()) for elem in set(t)), key=len)
-    return sets[0].intersection(*sets[1:])
+    return _placement(a, d) is not None
 
 
 def _bits(mask):
@@ -259,7 +250,8 @@ def treewidth_upper(a):
     Each step eliminates the element with the fewest fill edges, the
     earliest in the universe on ties.  Only the eliminated element's
     neighbours and the common neighbours of the ends of each new fill edge
-    see their fill change, so only theirs is recounted; a heap of
+    see their fill change, so only theirs is recounted, and a step that adds
+    no edge only lowers its neighbours' fill; a heap of
     (fill, universe position) entries, stale ones skipped, picks the next.
     """
     adj = gaifman_adjacency(a)
@@ -273,39 +265,17 @@ def treewidth_upper(a):
         if elem not in adj or fill[elem] != count:
             continue
         added = [(u, w) for u, w in itertools.combinations(adj[elem], 2) if w not in adj[u]]
-        changed = set(_eliminate(adj, elem))
+        neigh = _eliminate(adj, elem)
+        changed = set(neigh)
         for u, w in added:
             changed |= adj[u] & adj[w]
         for u in changed:
-            fill[u] = _fill(adj, u)
+            # with no fill edge added, u loses only its pairs with elem
+            fill[u] = _fill(adj, u) if added else fill[u] - len(adj[u] - neigh)
             heapq.heappush(heap, (fill[u], position[u], u))
         order.append(elem)
     witness = decomposition_from_order(a, order)
     return witness.width(), witness
-
-
-def _rooted(d, root):
-    neighbours = {n: [] for n in d.nodes}
-    for x, y in d.edges:
-        neighbours[x].append(y)
-        neighbours[y].append(x)
-    children = {n: [] for n in d.nodes}
-    depth = {root: 0}
-    preorder = {}
-    stack = [(root, None)]
-    counter = 0
-    while stack:
-        node, parent = stack.pop()
-        preorder[node] = counter
-        counter += 1
-        for nxt in sorted(neighbours[node], reverse=True):
-            if nxt != parent:
-                children[node].append(nxt)
-                depth[nxt] = depth[node] + 1
-                stack.append((nxt, node))
-    for node in children:
-        children[node].sort()
-    return children, depth, preorder
 
 
 def _variable_pool(k):
@@ -322,24 +292,16 @@ def pp_from_decomposition(a, d, k):
     leaves scope are re-quantified (lexicographically first free name wins),
     and each tuple's atom is emitted at the shallowest bag covering it.
     """
-    if not validate_decomposition(a, d):
+    walked = _placement(a, d)
+    if walked is None:
         raise EpqError("decomposition is not valid for the structure")
     if d.width() >= k:
         raise EpqError(f"decomposition width {d.width()} is not below {k}")
-    root = min(d.nodes)
-    children, depth, preorder = _rooted(d, root)
-
-    placed = {node: [] for node in d.nodes}
-    occurrences = _bag_index(d)
-    for sym in a.signature:
-        for t in sorted(a.relations[sym.name]):
-            home = min(_covering(occurrences, t), key=lambda n: (depth[n], preorder[n]))
-            placed[home].append((sym.name, t))
-
+    children, placed = walked
     pool = _variable_pool(k)
     rank = {elem: i for i, elem in enumerate(a.universe)}
 
-    return walk(_pp_subtree(root, {}, d, children, placed, pool, rank))
+    return walk(_pp_subtree(min(d.nodes), {}, d, children, placed, pool, rank))
 
 
 def _pp_subtree(node, inherited, d, children, placed, pool, rank):
@@ -367,17 +329,16 @@ def _pp_subtree(node, inherited, d, children, placed, pool, rank):
     return out
 
 
-def decide_ppk(
-    psi, k, *, signature=None, max_core=MAX_CORE, max_exact_tw=MAX_EXACT_TW, max_nodes=MAX_NODES
-):
+def decide_ppk(psi, k, *, signature=None, max_nodes=MAX_NODES):
     """Whether a primitive positive sentence can be written with k variables.
 
     Equivalent to the core of the sentence's induced structure having
-    treewidth below k.
+    treewidth below k.  ``core`` and ``treewidth_exact`` keep their default
+    universe guards.
     """
     struct = structure_of_pp(psi, signature)
-    small = core(struct, max_universe=max_core, max_nodes=max_nodes)
-    width, _ = treewidth_exact(small, max_universe=max_exact_tw)
+    small = core(struct, max_nodes=max_nodes)
+    width, _ = treewidth_exact(small)
     return width < k
 
 

@@ -5,16 +5,19 @@ homomorphism existence is decided by enumerating every map, treewidth by
 enumerating every elimination order, satisfiability by enumerating every
 assignment.  The reference versions at the end (``restart_core``,
 ``two_phase_m_normalize``, ``rescan_treewidth_upper``,
-``table_treewidth_exact`` and ``flat_eval_dnf_hom``) do use the library:
-they are the earlier, plainer control flow of ``core``, ``m_normalize``,
-``treewidth_upper``, ``treewidth_exact`` and ``eval_dnf_hom``, kept to pin
-their outputs.
+``table_treewidth_exact``, ``flat_eval_dnf_hom``,
+``renaming_structure_and_unions`` and ``dfs_validate_decomposition``) do
+use the library: they are the earlier, plainer control flow of ``core``,
+``m_normalize``, ``treewidth_upper``, ``treewidth_exact``,
+``eval_dnf_hom``, ``formulas._structure_and_unions`` and
+``validate_decomposition``, kept to pin their outputs.
 """
 
 import itertools
 import random
 
 import epquery as q
+from epquery.formulas import walk
 from epquery.treewidth import _bits, _elimination_cost
 
 E2 = q.digraph_signature()
@@ -393,3 +396,135 @@ def flat_eval_dnf_hom(phi, b, *, stats=None):
         if q.find_homomorphism(struct, b, stats=stats) is not None:
             return True
     return False
+
+
+def _alpha_rename(g, env, taken, bound_seen):
+    """Give every quantifier occurrence its own variable name, scope-aware."""
+    kind = type(g)
+    if kind is q.Atom:
+        return q.Atom(g.symbol, tuple(env[x] for x in g.args))
+    if kind is q.Equality:
+        return q.Equality(env[g.left], env[g.right])
+    if kind is q.Exists or kind is q.Forall:
+        if g.var in bound_seen:
+            i = 2
+            while f"{g.var}_{i}" in taken:
+                i += 1
+            new = f"{g.var}_{i}"
+            taken.add(new)
+        else:
+            new = g.var
+        bound_seen.add(new)
+        child = yield _alpha_rename(g.child, {**env, g.var: new}, taken, bound_seen)
+        return kind(new, child)
+    kids = []
+    for c in q.children(g):
+        kids.append((yield _alpha_rename(c, env, taken, bound_seen)))
+    return q.rebuild(g, kids)
+
+
+def renaming_structure_and_unions(psi, signature=None):
+    """Reference ``formulas._structure_and_unions``: rename bound variables
+    apart in one walk that builds a renamed copy of the sentence, then
+    collect quantifiers, atoms, equalities and ``Or``s in a second walk."""
+    renamed = walk(_alpha_rename(psi, {}, set(q.variable_names(psi)), set()))
+    quantified = []
+    atoms = []
+    equalities = []
+    ors = []
+    stack = [renamed]
+    while stack:
+        g = stack.pop()
+        kind = type(g)
+        if kind is q.Exists:
+            quantified.append(g.var)
+        elif kind is q.Atom:
+            atoms.append(g)
+        elif kind is q.Equality:
+            equalities.append((g.left, g.right))
+        elif kind is q.Or:
+            ors.append(g.children)
+            continue
+        stack.extend(reversed(q.children(g)))
+
+    parent = {v: v for v in quantified}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for x, y in equalities:
+        rx, ry = find(x), find(y)
+        root = min(rx, ry)
+        parent[rx] = root
+        parent[ry] = root
+
+    universe = []
+    for v in quantified:
+        if find(v) not in universe:
+            universe.append(find(v))
+    if signature is None:
+        signature = q.formula_signature(psi)
+
+    def merged(atom):
+        if atom.symbol not in signature:
+            raise q.EpqError(f"symbol {atom.symbol!r} is not in the supplied signature")
+        if signature.arity(atom.symbol) != len(atom.args):
+            raise q.EpqError(f"arity mismatch for symbol {atom.symbol!r}")
+        return atom.symbol, tuple(find(x) for x in atom.args)
+
+    relations = {}
+    for atom in atoms:
+        name, args = merged(atom)
+        relations.setdefault(name, set()).add(args)
+    unions = [[merged(atom) for atom in branches] for branches in ors]
+    return q.Structure(signature, tuple(universe), relations), unions
+
+
+def dfs_validate_decomposition(a, d):
+    """Reference ``validate_decomposition``: a search for tree-ness, one
+    search per element for connectivity, and an element-to-nodes index that
+    intersects each tuple's node sets for coverage."""
+    if len(set(d.nodes)) != len(d.nodes) or set(d.bags) != set(d.nodes):
+        return False
+    if not d.nodes or len(d.edges) != len(d.nodes) - 1:
+        return False
+    neighbours = {n: set() for n in d.nodes}
+    for x, y in d.edges:
+        if x not in neighbours or y not in neighbours or x == y:
+            return False
+        neighbours[x].add(y)
+        neighbours[y].add(x)
+    seen = {d.nodes[0]}
+    stack = [d.nodes[0]]
+    while stack:
+        for nxt in neighbours[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    if len(seen) != len(d.nodes):
+        return False
+    if any(not bag or not set(bag) <= set(a.universe) for bag in d.bags.values()):
+        return False
+
+    occurrences = {}
+    for node in d.nodes:
+        for elem in d.bags[node]:
+            occurrences.setdefault(elem, set()).add(node)
+    for nodes in occurrences.values():
+        start = next(iter(nodes))
+        seen = {start}
+        stack = [start]
+        while stack:
+            for nxt in neighbours[stack.pop()]:
+                if nxt in nodes and nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        if seen != nodes:
+            return False
+    return all(
+        set.intersection(*(occurrences.get(elem, set()) for elem in t))
+        for sym in a.signature
+        for t in a.relations[sym.name]
+    )

@@ -1,17 +1,23 @@
 import random
+import re
 
 import pytest
 
 import epquery as q
-from epquery.formulas import _free_sets
+from epquery.errors import MAX_DISJUNCTS
+from epquery.formulas import _free_sets, _structure_and_unions
+from epquery.normalize import _disjuncts
 from helpers import (
     E2,
+    UNION_SIG,
     all_structures,
     brute_hom_exists,
     digraph,
     random_ep_formula,
     random_pp_formula,
     random_structure,
+    random_union_sentence,
+    renaming_structure_and_unions,
 )
 
 EPQ_SIG = q.Signature(
@@ -220,6 +226,41 @@ def test_structure_of_pp_vacuous_requantification():
     s = q.structure_of_pp(f)
     assert len(s.universe) == 2
     assert sum(len(t) for t in s.relations["Q"]) == 1
+
+
+def _repeats_a_binder(f):
+    binders = [g.var for g in q.subformulas(f) if type(g) is q.Exists]
+    return len(binders) > len(set(binders))
+
+
+def test_structure_of_pp_matches_renaming_reference():
+    # The seeded sentences requantify names from a pool of three; in every
+    # third one the name w3 becomes w1_2, the first fresh name for w1.
+    rng = random.Random(131)
+    repeated = 0
+    for i in range(400):
+        psi = random_pp_formula(rng, EPQ_SIG, max_depth=4)
+        if i % 3 == 0:
+            psi = q.parse_formula(re.sub(r"\bw3\b", "w1_2", q.render(psi)))
+        expected, _ = renaming_structure_and_unions(psi, EPQ_SIG)
+        assert q.structure_of_pp(psi, EPQ_SIG) == expected
+        repeated += _repeats_a_binder(psi)
+    assert repeated >= 100
+    psi = q.parse_formula("exists x . exists x . exists x_2 . (E(x,x_2) & (exists x . P(x)))")
+    assert q.structure_of_pp(psi).universe == ("x", "x_3", "x_2", "x_4")
+
+
+def test_structure_and_unions_match_renaming_reference():
+    # Disjuncts that keep each Or of atoms whole, as eval_dnf_hom searches them.
+    rng = random.Random(137)
+    repeated = unions = 0
+    for _ in range(400):
+        for psi in _disjuncts(random_union_sentence(rng, max_depth=4), MAX_DISJUNCTS, True):
+            expected = renaming_structure_and_unions(psi, UNION_SIG)
+            assert _structure_and_unions(psi, UNION_SIG) == expected
+            repeated += _repeats_a_binder(psi)
+            unions += bool(expected[1])
+    assert repeated >= 100 and unions >= 100
 
 
 def test_structure_of_pp_rejects_non_pp():

@@ -167,6 +167,14 @@ def test_hamiltonian_sentence_ep6_shape_and_agreement():
         q.hamiltonian_sentence_ep6(5)
 
 
+def test_enumeration_guards_are_constants():
+    with pytest.raises(q.LimitExceeded, match="^successor-map enumeration bound: limit of 4 exceeded$"):
+        q.hamiltonian_sentence_ep6(5)
+    with pytest.raises(q.LimitExceeded, match="^vertex orderings: limit of 8 exceeded$"):
+        q.brute_force_hamiltonian(cycle_digraph(9))
+    assert q.brute_force_hamiltonian(cycle_digraph(8))
+
+
 def test_hamiltonian_sentence_ep6_three_vertices():
     ep6 = q.hamiltonian_sentence_ep6(3)
     assert q.classify(ep6).variables <= 6

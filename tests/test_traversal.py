@@ -1,5 +1,6 @@
 """Properties of the package as a whole: formula walkers leave no reference
-cycles behind, and no function recurses outside one bounded search."""
+cycles behind, no function recurses outside one bounded search, and the
+formula module imports nothing above the structures."""
 
 import ast
 import gc
@@ -113,3 +114,14 @@ def test_self_call_lint_sees_recursion():
         "class P:\n    def m(self):\n        return self.m()\n"
     )
     assert _self_calls(tree, "m") == {"m.rec", "m.delegating", "m.P.m"}
+
+
+def test_formulas_imports_only_errors_and_structures():
+    # The AST layer sits below the homomorphism engine: entailment, which
+    # needs homomorphisms, lives in normalize.
+    tree = ast.parse((SRC / "formulas.py").read_text(encoding="utf-8"))
+    local = {node.module for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level == 1}
+    assert local == {"errors", "structures"}
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Import)
+                and any(alias.name.startswith("epquery") for alias in node.names)]

@@ -11,6 +11,7 @@ from helpers import (
     all_structures,
     clique_digraph,
     cycle_digraph,
+    dfs_validate_decomposition,
     digraph,
     exhaustive_treewidth,
     path_digraph,
@@ -155,9 +156,25 @@ def test_treewidth_upper_matches_rescanning_reference():
     for i in range(400):
         a = random_structure(rng, (E2, PET)[i % 2], 9, density=(0.1, 0.25, 0.5)[i % 3])
         assert q.treewidth_upper(a) == rescan_treewidth_upper(a)
+    # stars, the hub anywhere in the universe and some leaves joined up:
+    # eliminating a leaf adds no fill edge, so only the neighbours' fill drops
+    for leaves in (1, 2, 5, 12, 30):
+        for hub in {0, leaves // 2, leaves}:
+            names = [f"l{i}" for i in range(leaves)]
+            names.insert(hub, "h")
+            edges = {("h", x) for x in names if x != "h"}
+            star = digraph(names, edges)
+            assert q.treewidth_upper(star) == rescan_treewidth_upper(star)
+            extra = {(f"l{i}", f"l{i + 1}") for i in range(0, leaves - 1, 3)}
+            linked = digraph(names, edges | extra)
+            assert q.treewidth_upper(linked) == rescan_treewidth_upper(linked)
     # min-fill eliminates a path from its first end, one element at a time
     path = path_digraph(1500)
     assert q.treewidth_upper(path) == (1, q.decomposition_from_order(path, path.universe))
+    # and a star's leaves in universe order, then the hub, which comes first
+    star = digraph(["h"] + [f"l{i:03}" for i in range(800)], {("h", f"l{i:03}") for i in range(800)})
+    order = list(star.universe[1:-1]) + ["h", star.universe[-1]]
+    assert q.treewidth_upper(star) == (1, q.decomposition_from_order(star, order))
 
 
 def test_treewidth_upper_bounds_exact():
@@ -255,6 +272,44 @@ def test_validate_decomposition_coverage_matches_bag_scan():
         assert q.validate_decomposition(other, d) == covered
         verdicts.add(covered)
     assert verdicts == {True, False}
+
+
+def _perturbed(rng, a, d):
+    # One change to a valid decomposition: a rewired, added or dropped edge
+    # breaks tree-ness, an element added to a bag can break its connectivity,
+    # and an element dropped from a bag can break connectivity or coverage.
+    edges, bags = list(d.edges), dict(d.bags)
+    kind = rng.choice(("rewire", "add_edge", "drop_edge", "add_elem", "drop_elem"))
+    if kind == "rewire":
+        edges[rng.randrange(len(edges))] = (rng.choice(d.nodes), rng.choice(d.nodes))
+    elif kind == "add_edge":
+        edges.append((rng.choice(d.nodes), rng.choice(d.nodes)))
+    elif kind == "drop_edge":
+        del edges[rng.randrange(len(edges))]
+    else:
+        node = rng.choice(d.nodes)
+        if kind == "add_elem":
+            bags[node] = bags[node] | {rng.choice(a.universe)}
+        else:
+            bags[node] = bags[node] - {rng.choice(sorted(bags[node]))}
+    return kind, q.TreeDecomposition(d.nodes, tuple(edges), bags)
+
+
+def test_validate_decomposition_matches_dfs_reference():
+    rng = random.Random(79)
+    verdicts = {}
+    for i in range(600):
+        a = random_structure(rng, (E2, PET)[i % 2], 8, density=(0.1, 0.2, 0.35)[i % 3])
+        _, d = q.treewidth_upper(a)
+        if len(d.nodes) < 2:
+            continue
+        kind, changed = _perturbed(rng, a, d)
+        verdict = dfs_validate_decomposition(a, changed)
+        assert q.validate_decomposition(a, changed) == verdict
+        verdicts.setdefault(kind, set()).add(verdict)
+    both = {True, False}
+    assert verdicts == {"rewire": both, "add_edge": {False}, "drop_edge": {False},
+                        "add_elem": both, "drop_elem": both}
 
 
 def test_decide_ppk_examples():
