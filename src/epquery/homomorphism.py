@@ -26,6 +26,11 @@ the source tuple's repetition pattern.
   backtracking undoes the trail instead of copying the domains at each
   level, and depth is not bound by the interpreter's recursion limit.
 
+One builder, ``_constraints``, propagates a search's constraints to the
+root fixpoint; one solver, ``_solve``, propagates from given domains and
+backtracks.  ``core`` builds the constraints of ``a -> a`` once and tests
+each removal by masking one value out of the root domains.
+
 Variables are picked by fewest remaining candidates with a degree
 tie-break, values in target universe order, so both the verdict and the
 returned witness are deterministic.
@@ -266,6 +271,17 @@ def _search(source, unions, target, fixed, max_nodes, stats):
     Each union is a sequence of (symbol, arguments over source elements),
     and it holds when one of them maps to a target tuple.
     """
+    built = _constraints(source, unions, target, fixed)
+    if built is None or not _solve(built[1], built[0], {}, max_nodes, stats):
+        return None
+    # every domain is a singleton, and the fixpoint makes the map a homomorphism
+    mapping = {x: target.universe[dom.bit_length() - 1] for x, dom in zip(source.universe, built[0])}
+    return Homomorphism(source, target, mapping)
+
+
+def _constraints(source, unions, target, fixed):
+    """The root fixpoint domains of a search and its constraints (arcs,
+    scans, unions, degree), or None when that fixpoint wipes out."""
     if source.signature != target.signature:
         raise SignatureMismatch("homomorphism search needs similar structures")
     if not source.universe or not target.universe:
@@ -308,8 +324,6 @@ def _search(source, unions, target, fixed, max_nodes, stats):
             if len(vars) > 1:
                 for v in vars:
                     degree[v] += 1
-    if not all(domains):
-        return None
     arcs = [list(groups.values()) for groups in arcs]
     queue = {v: full ^ dom for v, dom in enumerate(domains) if dom != full}
     for union in unions:
@@ -323,9 +337,18 @@ def _search(source, unions, target, fixed, max_nodes, stats):
             if len(scope) > 1:
                 degree[v] += 1
         queue.setdefault(scope[0], 0)  # so that the union is revised before the search
+    if not all(domains) or not _propagate(domains, arcs, scans, union_of, queue, []):
+        return None
+    return domains, (arcs, scans, union_of, degree)
+
+
+def _solve(constraints, domains, queue, max_nodes, stats):
+    """From domains that are a fixpoint but for the values ``queue`` lists as
+    lost, propagate and backtrack; True when they end as a solution's singletons."""
+    arcs, scans, union_of, degree = constraints
     trail = []
     if not _propagate(domains, arcs, scans, union_of, queue, trail):
-        return None
+        return False
     counters = stats if stats is not None else SearchStats()
     budget = counters.nodes + max_nodes
 
@@ -344,7 +367,7 @@ def _search(source, unions, target, fixed, max_nodes, stats):
         stack.append([var, domains[var], len(trail)])
         while True:
             if not stack:
-                return None
+                return False
             frame = stack[-1]
             var, rest, mark = frame
             while len(trail) > mark:
@@ -363,9 +386,7 @@ def _search(source, unions, target, fixed, max_nodes, stats):
             domains[var] = bit
             if _propagate(domains, arcs, scans, union_of, {var: entered ^ bit}, trail):
                 break
-    # every domain is a singleton, and the fixpoint makes the map a homomorphism
-    mapping = {source.universe[i]: target.universe[domains[i].bit_length() - 1] for i in range(n)}
-    return Homomorphism(source, target, mapping)
+    return True
 
 
 def hom_equivalent(a, b, *, max_nodes=MAX_NODES, stats=None):
@@ -389,25 +410,34 @@ def find_retraction(a, subset, *, max_nodes=MAX_NODES, stats=None):
 def core(a, *, max_universe=MAX_CORE, max_nodes=MAX_NODES, stats=None):
     """Smallest substructure that is homomorphically equivalent to ``a``.
 
-    Greedy element removal, one pass in universe order.  A removal is
-    justified by any homomorphism into the complement, not only by a
-    retraction fixing the complement pointwise: a structure can admit no
-    single-element retraction yet still have a proper retract (disjoint
-    2-cycle plus 6-cycle), while a homomorphic collapse always exposes some
-    removable element.  One pass is enough: if C has no homomorphism into
-    C - {e}, then no later C' within C has one into C' - {e}, or else
-    C -> C' -> C' - {e} would map C into C - {e}.  So the final
-    structure admits no homomorphism into any proper induced substructure,
-    hence is a core, and the composition of the removal steps retracts ``a``
-    onto it.
+    Greedy element removal, one pass in universe order.  Any homomorphism
+    into the complement of ``e`` justifies removing it, not only a
+    retraction: a disjoint 2-cycle plus 6-cycle has no single-element
+    retraction, yet its core is the 2-cycle.  One pass is enough: if C has
+    no homomorphism into C - {e}, no later C' within C has one into
+    C' - {e}, or C -> C' -> C' - {e} would map C into C - {e}.
+
+    The constraints of ``a -> a`` are built once.  With C = a[keep] the part
+    left so far, the test for ``e`` masks the root domains to keep - {e},
+    propagates the values masked out and solves: a map a -> C - {e} exists
+    exactly when C -> C - {e} does, since ``a`` maps onto C and C lies in
+    ``a``.  A masked-out value never supports another, so this is the search
+    into a freshly built C - {e}, node for node until the first removal.
+    The last element is never removed, as every domain would be empty.
+    Each test may search ``max_nodes`` nodes.
     """
     if len(a.universe) > max_universe:
         raise LimitExceeded("core universe size", max_universe)
-    current = a
-    for elem in a.universe:
-        if len(current.universe) == 1:
-            break
-        candidate = induced_substructure(current, [e for e in current.universe if e != elem])
-        if find_homomorphism(current, candidate, max_nodes=max_nodes, stats=stats) is not None:
-            current = candidate
-    return current
+    if not a.universe:
+        return a
+    root, constraints = _constraints(a, (), a, None)  # never None: the identity map
+    full = keep = (1 << len(a.universe)) - 1
+    for i in range(len(a.universe)):
+        mask = keep ^ (1 << i)
+        domains = [dom & mask for dom in root]
+        queue = {v: lost for v, dom in enumerate(root) if (lost := dom & ~mask)}
+        if all(domains) and _solve(constraints, domains, queue, max_nodes, stats):
+            keep = mask
+    if keep == full:
+        return a
+    return induced_substructure(a, [e for i, e in enumerate(a.universe) if keep >> i & 1])

@@ -4,10 +4,10 @@ The oracles here deliberately avoid the library's search code paths:
 homomorphism existence is decided by enumerating every map, treewidth by
 enumerating every elimination order, satisfiability by enumerating every
 assignment.  The reference versions at the end (``restart_core``,
-``two_phase_m_normalize``, ``rescan_treewidth_upper``,
+``per_element_core``, ``two_phase_m_normalize``, ``rescan_treewidth_upper``,
 ``table_treewidth_exact``, ``flat_eval_dnf_hom``,
 ``renaming_structure_and_unions`` and ``dfs_validate_decomposition``) do
-use the library: they are the earlier, plainer control flow of ``core``,
+use the library: they are the earlier, plainer control flow of ``core`` (two),
 ``m_normalize``, ``treewidth_upper``, ``treewidth_exact``,
 ``eval_dnf_hom``, ``formulas._structure_and_unions`` and
 ``validate_decomposition``, kept to pin their outputs.
@@ -17,6 +17,7 @@ import itertools
 import random
 
 import epquery as q
+from epquery.errors import MAX_NODES
 from epquery.formulas import walk
 from epquery.treewidth import _bits, _elimination_cost
 
@@ -314,6 +315,19 @@ def restart_core(a):
                 break
         else:
             break
+    return current
+
+
+def per_element_core(a, *, max_nodes=MAX_NODES, stats=None):
+    """Reference ``core``: one pass in universe order that builds each
+    candidate substructure and searches a fresh ``current -> candidate``."""
+    current = a
+    for elem in a.universe:
+        if len(current.universe) == 1:
+            break
+        candidate = q.induced_substructure(current, [e for e in current.universe if e != elem])
+        if q.find_homomorphism(current, candidate, max_nodes=max_nodes, stats=stats) is not None:
+            current = candidate
     return current
 
 

@@ -2,7 +2,7 @@ import json
 
 import epquery as q
 from epquery.cli import main
-from helpers import path_digraph
+from helpers import digraph, path_digraph
 
 LOOP = "signature E/2\nuniverse a\ntuple E a a\n"
 EDGE = "signature E/2\nuniverse a b\ntuple E a b\n"
@@ -175,6 +175,26 @@ def test_core_command(tmp_path, capsys):
     code, out, _ = _run(capsys, ["core", "--structure", str(tmp_path / "tail.str")])
     assert code == 0
     assert q.parse_structure(out).universe == ("b",)
+
+
+def test_core_node_limit_and_count(tmp_path, capsys):
+    # Six disjoint directed triangles: each removal test searches nodes.
+    triangles = digraph(
+        [f"t{i}_{j}" for i in range(6) for j in range(3)],
+        {(f"t{i}_{j}", f"t{i}_{(j + 1) % 3}") for i in range(6) for j in range(3)},
+    )
+    (tmp_path / "six.str").write_text(q.format_structure(triangles))
+    argv = ["core", "--structure", str(tmp_path / "six.str"), "--format", "json"]
+    code, out, _ = _run(capsys, argv + ["--max-nodes", "0"])
+    assert code == 2
+    assert json.loads(out)["limits-hit"] == ["homomorphism search nodes"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    stats = q.SearchStats()
+    small = q.core(triangles, stats=stats)
+    record = json.loads(out)
+    assert q.parse_structure(record["result"]) == small
+    assert record["stats"]["nodes-searched"] == stats.nodes > 0
 
 
 def test_canonical_query_and_pp_structure_round_trip(tmp_path, capsys):

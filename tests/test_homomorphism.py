@@ -16,6 +16,7 @@ from helpers import (
     digraph,
     flat_eval_dnf_hom,
     path_digraph,
+    per_element_core,
     random_structure,
     restart_core,
     sparse_digraph,
@@ -385,12 +386,30 @@ def test_core_matches_restarted_scan():
         density = rng.choice([0.05, 0.1, 0.2]) if sig is mixed else rng.choice([0.1, 0.2, 0.3])
         a = random_structure(rng, sig, 8, density=density)
         assert q.core(a) == restart_core(a)
+        assert q.core(a) == per_element_core(a)
+
+
+def test_core_masking_matches_per_element_searches_on_h3():
+    # No element of a member of m_normalize(H_3) can go, so every masked
+    # removal test searches exactly the nodes of a search into the freshly
+    # built substructure.
+    phi = q.hamiltonian_sentence(3)
+    signature = q.formula_signature(phi)
+    members = q.m_normalize(phi)
+    assert len(members) == 27
+    masked, rebuilt = q.SearchStats(), q.SearchStats()
+    for member in members:
+        a = q.structure_of_pp(member, signature)
+        assert q.core(a, max_universe=len(a.universe), stats=masked) is a
+        assert per_element_core(a, stats=rebuilt) is a
+    assert masked.nodes == rebuilt.nodes > 0
 
 
 def test_core_makes_one_pass(monkeypatch):
     # A directed triangle, then 5 disjoint edges: each edge element goes, the
     # triangle stays.  Rescanning after each of the 10 removals re-tests the
-    # three triangle elements every time: 43 searches instead of 13.
+    # three triangle elements every time: 43 searches instead of 13.  The
+    # pass builds the constraints of a -> a once and solves once per test.
     triangle = cycle_digraph(3, "t")
     pairs = [(f"a{i}", f"b{i}") for i in range(5)]
     a = digraph(
@@ -398,16 +417,24 @@ def test_core_makes_one_pass(monkeypatch):
         set(triangle.relations["E"]) | set(pairs),
     )
     calls = []
-    real = homomorphism.find_homomorphism
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(name):
+        real = getattr(homomorphism, name)
 
-    monkeypatch.setattr(homomorphism, "find_homomorphism", counted)
-    monkeypatch.setattr(q, "find_homomorphism", counted)
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(homomorphism, name, wrapper)
+
+    counted("find_homomorphism")
+    monkeypatch.setattr(q, "find_homomorphism", homomorphism.find_homomorphism)
     assert restart_core(a) == triangle
-    assert len(calls) == 43
+    assert calls.count("find_homomorphism") == 43
     calls.clear()
+    counted("_constraints")
+    counted("_solve")
     assert q.core(a) == triangle
-    assert len(calls) <= 13
+    assert calls.count("find_homomorphism") == 0
+    assert calls.count("_constraints") == 1
+    assert 0 < calls.count("_solve") <= 13
