@@ -81,6 +81,7 @@ from .homomorphism import (
     find_homomorphism,
     find_retraction,
     hom_equivalent,
+    isomorphic,
     verify_homomorphism,
 )
 from .normalize import compile_unary, m_normalize, pp_entails, to_pp_disjunction
@@ -91,7 +92,6 @@ from .structures import (
     digraph_signature,
     format_structure,
     induced_substructure,
-    isomorphic,
     labelled_rank,
     labelled_signature,
     pair_token,

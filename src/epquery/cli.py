@@ -195,6 +195,9 @@ def _cmd_hn(args, limits):
 
 
 def _cmd_reduce(args, limits):
+    needed = "digraph" if args.what == "ham" else "cnf"
+    if not getattr(args, needed):
+        raise EpqError(f"reduce {args.what} needs --{needed}")
     if args.what == "ham":
         digraph = _load_structure(args.digraph)
         instance = reduce_hamiltonian(digraph, lift_arity=args.lift_arity)

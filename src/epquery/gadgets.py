@@ -4,8 +4,9 @@ The central device turns a labelled digraph into a plain digraph through a
 per-element gadget in a way that preserves homomorphism existence in both
 directions.  On top of it sit the Hamiltonian-circuit reduction (a sentence
 family plus a product structure), its bounded-variable compilation through
-explicit low-width tree decompositions, and three satisfiability reductions
-that pin truth values with tiny relations.
+low-width tree decompositions (min-fill's, of width at most 2, on the
+outdegree-1 companion digraphs, lifted to width 5 over the gadgets), and
+three satisfiability reductions that pin truth values with tiny relations.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .structures import (
     labelled_signature,
     product,
 )
-from .treewidth import TreeDecomposition, pp_from_decomposition, validate_decomposition
+from .treewidth import TreeDecomposition, pp_from_decomposition, treewidth_upper, validate_decomposition
 
 _MAX_EP6_N = 4  # hamiltonian_sentence_ep6 enumerates n**n successor maps
 _MAX_BRUTE_VERTICES = 8  # brute_force_hamiltonian tries (n - 1)! orderings
@@ -173,7 +174,7 @@ def hamiltonian_sentence_ep6(n):
     """Six-variable form of :func:`hamiltonian_sentence`.
 
     One disjunct per successor map: the gadget encoding of the map's pattern
-    graph is compiled through an explicit width-5 decomposition, so every
+    graph is compiled through a width-5 decomposition, so every
     disjunct uses at most six variable names.  There are n**n maps, hence the
     guard on n.
     """
@@ -193,9 +194,13 @@ def hamiltonian_sentence_ep6(n):
 def outdeg1_decomposition(g):
     """Width <= 2 decomposition of a digraph whose vertices all have outdegree 1.
 
-    Such a graph is a union of cycles with in-trees hanging off them: peel
-    indegree-0 vertices into two-element bags, decompose each remaining cycle
-    as a fan over its least vertex.
+    It is min-fill's (:func:`treewidth_upper`).  Each vertex adds at most
+    one Gaifman edge, inside its own component, so every component has at
+    most one cycle.  A vertex of degree d >= 3 has fill <= 1 only when
+    C(d, 2) - 1 >= 2 edges join its neighbours, closing two cycles, while one
+    of degree <= 2 always has fill <= 1.  So min-fill eliminates only
+    vertices of degree <= 2, each a deletion or a contraction, which keeps
+    at most one cycle per component and at most three vertices per bag.
     """
     if labelled_rank(g.signature) != 0:
         raise EpqError("input must be a plain digraph")
@@ -207,66 +212,7 @@ def outdeg1_decomposition(g):
     missing = [v for v in g.universe if v not in succ]
     if missing:
         raise EpqError(f"vertices without outgoing edges: {missing}")
-
-    indegree = dict.fromkeys(g.universe, 0)
-    for y in succ.values():
-        indegree[y] += 1
-    remaining = set(g.universe)
-    peeled = []
-    changed = True
-    while changed:
-        changed = False
-        for v in g.universe:
-            if v in remaining and indegree[v] == 0:
-                peeled.append((v, succ[v]))
-                remaining.discard(v)
-                indegree[succ[v]] -= 1
-                changed = True
-
-    nodes = []
-    edges = []
-    bags = {}
-
-    def new_node(bag):
-        nid = f"t{len(nodes)}"
-        nodes.append(nid)
-        bags[nid] = frozenset(bag)
-        return nid
-
-    node_of = {}
-    component_roots = []
-    visited = set()
-    for v in g.universe:
-        if v not in remaining or v in visited:
-            continue
-        cycle = [v]
-        visited.add(v)
-        w = succ[v]
-        while w != v:
-            cycle.append(w)
-            visited.add(w)
-            w = succ[w]
-        if len(cycle) <= 2:
-            chain = [new_node(set(cycle))]
-        else:
-            chain = []
-            for i in range(1, len(cycle) - 1):
-                nid = new_node({cycle[0], cycle[i], cycle[i + 1]})
-                if chain:
-                    edges.append((chain[-1], nid))
-                chain.append(nid)
-        component_roots.append(chain[0])
-        for elem in cycle:
-            node_of[elem] = next(nid for nid in chain if elem in bags[nid])
-
-    for v, w in reversed(peeled):
-        nid = new_node({v, w})
-        edges.append((nid, node_of[w]))
-        node_of[v] = nid
-
-    for left, right in zip(component_roots, component_roots[1:]):
-        edges.append((left, right))
-    return TreeDecomposition(tuple(nodes), tuple(edges), bags)
+    return treewidth_upper(g)[1]
 
 
 def star_decomposition(b, d):

@@ -29,7 +29,8 @@ the source tuple's repetition pattern.
 One builder, ``_constraints``, propagates a search's constraints to the
 root fixpoint; one solver, ``_solve``, propagates from given domains and
 backtracks.  ``core`` builds the constraints of ``a -> a`` once and tests
-each removal by masking one value out of the root domains.
+each removal by masking one value out of the root domains.  ``isomorphic``
+is one search between copies that also relate every two distinct elements.
 
 Variables are picked by fewest remaining candidates with a degree
 tie-break, values in target universe order, so both the verdict and the
@@ -41,7 +42,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MAX_CORE, MAX_NODES, EpqError, LimitExceeded, SignatureMismatch
-from .structures import Structure, induced_substructure, project_rows, repetition_pattern
+from .structures import (
+    RelationSymbol,
+    Signature,
+    Structure,
+    induced_substructure,
+    project_rows,
+    repetition_pattern,
+)
 
 
 @dataclass
@@ -395,6 +403,37 @@ def hom_equivalent(a, b, *, max_nodes=MAX_NODES, stats=None):
     if forward is None:
         return False
     return find_homomorphism(b, a, max_nodes=max_nodes, stats=stats) is not None
+
+
+def isomorphic(a, b, *, max_universe=12):
+    """Decide isomorphism as one injective homomorphism search.
+
+    Both structures get one fresh binary symbol holding every pair of
+    distinct elements, so a map between the extended structures is
+    injective; with equal universe sizes it is a bijection.  Relation
+    cardinalities are compared per symbol first, so such a bijection maps
+    each relation onto the other and is an isomorphism.
+    """
+    if a.signature != b.signature:
+        raise SignatureMismatch("isomorphism test needs similar structures")
+    if len(a.universe) != len(b.universe):
+        return False
+    if len(a.universe) > max_universe:
+        raise LimitExceeded("isomorphism universe size", max_universe)
+    for sym in a.signature:
+        if len(a.relations[sym.name]) != len(b.relations[sym.name]):
+            return False
+    if not a.universe:
+        return True  # the empty map; the search needs non-empty universes
+    # longer than every symbol name, so it names none of them
+    distinct = RelationSymbol("".join(a.signature.names) + "~", 2)
+    signature = Signature(a.signature.symbols + (distinct,))
+
+    def extended(s):
+        pairs = [(x, y) for x in s.universe for y in s.universe if x != y]
+        return Structure(signature, s.universe, {**s.relations, distinct.name: pairs})
+
+    return find_homomorphism(extended(a), extended(b)) is not None
 
 
 def find_retraction(a, subset, *, max_nodes=MAX_NODES, stats=None):

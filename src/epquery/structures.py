@@ -3,14 +3,15 @@
 All values are immutable after construction and every operation is a pure
 function, so anything here may be called concurrently.  The universe keeps
 its construction order; serialization sorts elements and tuples so emitted
-files are canonical.
+files are canonical.  Nothing here searches: isomorphism, like
+homomorphism, is decided in :mod:`epquery.homomorphism`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EpqError, LimitExceeded, ParseError, SignatureMismatch
+from .errors import EpqError, ParseError, SignatureMismatch
 
 
 @dataclass(frozen=True, order=True)
@@ -209,78 +210,6 @@ def project_rows(rows, pattern):
         else:
             kept[tuple(proj)] = None
     return list(kept)
-
-
-def _position_profiles(s):
-    # Per element: how often it occupies each (symbol, position) slot.  Used
-    # to prune the isomorphism search.
-    prof = {elem: [] for elem in s.universe}
-    for sym in s.signature:
-        for pos in range(sym.arity):
-            counts = dict.fromkeys(s.universe, 0)
-            for t in s.relations[sym.name]:
-                counts[t[pos]] += 1
-            for elem in s.universe:
-                prof[elem].append(counts[elem])
-    return {elem: tuple(vals) for elem, vals in prof.items()}
-
-
-def isomorphic(a, b, *, max_universe=12):
-    """Decide isomorphism by backtracking over bijections.
-
-    Relation cardinalities are compared per symbol first, so a bijective
-    forward homomorphism found by the search is automatically invertible.
-    """
-    if a.signature != b.signature:
-        raise SignatureMismatch("isomorphism test needs similar structures")
-    if len(a.universe) != len(b.universe):
-        return False
-    if len(a.universe) > max_universe:
-        raise LimitExceeded("isomorphism universe size", max_universe)
-    for sym in a.signature:
-        if len(a.relations[sym.name]) != len(b.relations[sym.name]):
-            return False
-    prof_a = _position_profiles(a)
-    prof_b = _position_profiles(b)
-    candidates = {}
-    for x in a.universe:
-        cands = [y for y in b.universe if prof_b[y] == prof_a[x]]
-        if not cands:
-            return False
-        candidates[x] = cands
-
-    touching = {elem: [] for elem in a.universe}
-    for sym in a.signature:
-        for t in a.relations[sym.name]:
-            for elem in set(t):
-                touching[elem].append((sym.name, t))
-
-    order = a.universe
-    mapping = {}
-    used = set()
-
-    def extend(i):
-        if i == len(order):
-            return True
-        x = order[i]
-        for y in candidates[x]:
-            if y in used:
-                continue
-            mapping[x] = y
-            used.add(y)
-            ok = True
-            for name, t in touching[x]:
-                if all(e in mapping for e in t):
-                    if tuple(mapping[e] for e in t) not in b.relations[name]:
-                        ok = False
-                        break
-            if ok and extend(i + 1):
-                return True
-            del mapping[x]
-            used.discard(y)
-        return False
-
-    return extend(0)
 
 
 def parse_structure(text):

@@ -169,10 +169,7 @@ def treewidth_exact(a, *, max_universe=MAX_EXACT_TW):
     bound up is tried with ``_width_at_most``, which is exponential in the
     universe size, hence the guard.
     """
-    n = len(a.universe)
-    if n == 0:
-        raise EpqError("treewidth needs a non-empty universe")
-    if n > max_universe:
+    if len(a.universe) > max_universe:
         raise LimitExceeded("exact treewidth universe size", max_universe)
     index = {elem: i for i, elem in enumerate(a.universe)}
     masks = [sum(1 << index[u] for u in neigh) for neigh in gaifman_adjacency(a).values()]
@@ -254,6 +251,8 @@ def treewidth_upper(a):
     no edge only lowers its neighbours' fill; a heap of
     (fill, universe position) entries, stale ones skipped, picks the next.
     """
+    if not a.universe:
+        raise EpqError("treewidth needs a non-empty universe")
     adj = gaifman_adjacency(a)
     position = {elem: i for i, elem in enumerate(a.universe)}
     fill = {elem: _fill(adj, elem) for elem in adj}
@@ -363,15 +362,15 @@ def parse_decomposition(text):
         elif parts[0] == "edge":
             if len(parts) != 3:
                 raise ParseError("edge line needs exactly two node ids", lineno)
-            edges.append((parts[1], parts[2]))
+            edges.append((parts[1], parts[2], lineno))
         else:
             raise ParseError(f"unexpected line starting with {parts[0]!r}", lineno)
     if not nodes:
         raise ParseError("decomposition text has no node lines", 1)
-    for x, y in edges:
+    for x, y, lineno in edges:
         if x not in bags or y not in bags:
-            raise ParseError(f"edge references unknown node: {x} {y}", 1)
-    return TreeDecomposition(tuple(nodes), tuple(edges), bags)
+            raise ParseError(f"edge references unknown node: {x} {y}", lineno)
+    return TreeDecomposition(tuple(nodes), tuple((x, y) for x, y, _ in edges), bags)
 
 
 def format_decomposition(d):

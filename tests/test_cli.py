@@ -155,6 +155,16 @@ def test_reduce_ham_bundle(tmp_path, capsys):
     assert code == 0
 
 
+def test_reduce_without_its_input_file_is_an_error(tmp_path, capsys):
+    for what, flag in (("ham", "--digraph"), ("sat", "--cnf")):
+        code, out, err = _run(
+            capsys, ["reduce", what, "--out", str(tmp_path / what), "--format", "json"]
+        )
+        assert code == 2
+        assert json.loads(out)["error"] == f"reduce {what} needs {flag}"
+        assert "Traceback" not in err
+
+
 def test_hom_witness_and_exit_codes(tmp_path, capsys):
     (tmp_path / "edge.str").write_text(EDGE)
     (tmp_path / "loop.str").write_text(LOOP)

@@ -268,15 +268,21 @@ def test_outdeg1_decomposition_examples():
 
 def test_outdeg1_decomposition_every_vertex_in_a_bag():
     rng = random.Random(113)
+    graphs = []
     for _ in range(20):
         n = rng.randint(1, 6)
         universe = [f"n{i}" for i in range(n)]
-        edges = {(v, rng.choice(universe)) for v in universe}
-        g = digraph(universe, edges)
+        graphs.append(digraph(universe, {(v, rng.choice(universe)) for v in universe}))
+    # and every digraph with outdegree 1 on at most five vertices
+    for n in range(1, 6):
+        universe = [f"n{i}" for i in range(n)]
+        for image in itertools.product(universe, repeat=n):
+            graphs.append(digraph(universe, zip(universe, image)))
+    for g in graphs:
         d = q.outdeg1_decomposition(g)
         assert q.validate_decomposition(g, d)
         covered = set().union(*d.bags.values())
-        assert covered == set(universe)
+        assert covered == set(g.universe)
         assert d.width() <= 2
 
 

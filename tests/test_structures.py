@@ -5,6 +5,7 @@ import pytest
 import epquery as q
 from helpers import (
     E2,
+    UNION_SIG,
     brute_iso_exists,
     cycle_digraph,
     digraph,
@@ -117,12 +118,32 @@ def test_isomorphic_relabelled_cycle_matches_oracle():
     assert q.isomorphic(tri, relabelled)
 
 
+def _relabelled(rng, s):
+    """A copy of ``s`` under a random bijection onto fresh element names."""
+    names = [f"r{i}" for i in range(len(s.universe))]
+    rng.shuffle(names)
+    rename = dict(zip(s.universe, names))
+    relations = {name: {tuple(rename[x] for x in t) for t in rows}
+                 for name, rows in s.relations.items()}
+    return q.Structure(s.signature, tuple(sorted(names)), relations)
+
+
 def test_isomorphic_agrees_with_oracle_on_random_pairs():
     rng = random.Random(5)
     for _ in range(60):
         a = random_structure(rng, E2, 3)
         b = random_structure(rng, E2, 3)
         assert q.isomorphic(a, b) == brute_iso_exists(a, b)
+    # two independent draws are seldom isomorphic; a relabelled copy always is
+    for signature, density in ((E2, 0.4), (UNION_SIG, 0.2)):
+        for _ in range(40):
+            a = random_structure(rng, signature, 5, density)
+            twin = _relabelled(rng, a)
+            assert q.isomorphic(a, twin) and brute_iso_exists(a, twin)
+            b = random_structure(rng, signature, 5, density)
+            assert q.isomorphic(a, b) == brute_iso_exists(a, b)
+    empty = q.Structure(UNION_SIG, (), {})
+    assert q.isomorphic(empty, empty) and brute_iso_exists(empty, empty)
 
 
 def test_isomorphic_limit():

@@ -1,6 +1,6 @@
 """Properties of the package as a whole: formula walkers leave no reference
-cycles behind, no function recurses outside one bounded search, and the
-formula module imports nothing above the structures."""
+cycles behind, no function recurses, and the formula module imports nothing
+above the structures."""
 
 import ast
 import gc
@@ -58,10 +58,8 @@ def test_calls_leave_no_reference_cycles(name):
         gc.enable()
 
 
-# Recursions whose depth the function's own guard bounds.
-BOUNDED_RECURSION = {
-    "structures.isomorphic.extend",  # depth <= universe size <= max_universe (12 by default)
-}
+# Recursions whose depth the function's own guard bounds: none.
+BOUNDED_RECURSION = set()
 
 
 def _self_calls(tree, module):

@@ -341,6 +341,13 @@ def test_decide_ppk_matches_exact_width():
         assert [q.decide_ppk(psi, k) for k in range(1, 6)] == [width < k for k in range(1, 6)]
 
 
+def test_treewidth_rejects_an_empty_universe():
+    empty = q.Structure(E2, (), {})
+    for decompose in (q.treewidth_upper, q.treewidth_exact, q.outdeg1_decomposition):
+        with pytest.raises(q.EpqError):
+            decompose(empty)
+
+
 def test_decomposition_text_round_trip():
     d = _td(
         ["n0", "n1"],
@@ -354,3 +361,7 @@ def test_decomposition_text_round_trip():
     assert q.format_decomposition(again) == text
     with pytest.raises(q.ParseError):
         q.parse_decomposition("edge n0 n1")
+    # an edge to an unknown node is reported at its own line
+    with pytest.raises(q.ParseError) as caught:
+        q.parse_decomposition("node n0 a b\nnode n1 b c\n\nedge n0 n1\nedge n1 n9\n")
+    assert caught.value.line == 5
