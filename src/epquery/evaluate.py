@@ -366,7 +366,10 @@ def evaluate(phi, b, strategy="naive", *, k=None, stats=None, **limits):
 
     ``stats`` is a ``SearchStats`` for the search strategies and a dict for
     ``kvar`` (see ``eval_kvar``); ``naive`` keeps none.  A ``stats`` of the
-    other kind raises ``EpqError`` before any evaluation.
+    other kind raises ``EpqError`` before any evaluation.  Each strategy
+    takes the ``limits`` it has and ignores the others: ``max_work`` for
+    ``naive``, ``max_rows`` for ``kvar``, ``max_disjuncts`` and
+    ``max_nodes`` for ``dnf-hom`` and ``pp-reduction``.
     """
     kind = dict if strategy == "kvar" else SearchStats
     if stats is not None and strategy in _STRATEGIES[1:] and not isinstance(stats, kind):
@@ -375,7 +378,9 @@ def evaluate(phi, b, strategy="naive", *, k=None, stats=None, **limits):
         return eval_naive(phi, b, **{k_: v for k_, v in limits.items() if k_ == "max_work"})
     if strategy == "kvar":
         bound = k if k is not None else classify(phi).variables
-        return eval_kvar(phi, b, bound, stats=stats)
+        return eval_kvar(phi, b, bound, stats=stats, **{
+            k_: v for k_, v in limits.items() if k_ == "max_rows"
+        })
     if strategy == "dnf-hom":
         return eval_dnf_hom(phi, b, stats=stats, **{
             k_: v for k_, v in limits.items() if k_ in ("max_disjuncts", "max_nodes")

@@ -9,11 +9,19 @@ the source tuple's repetition pattern.
   (symbol, repetition pattern), the supports, a mask per column of the values
   that have a support, and for binary patterns the per-value partner masks.
   Every search into that target reuses them.
+- The source side is a skeleton built once per source structure and kept on
+  it: per (symbol, repetition pattern), the variables in each column, the
+  partner lists of the binary tuples and the variable tuples of the wider
+  ones, each sorted by variable index, plus the degree of each variable.
+  A search binds it to the target's tables with one lookup per key, so the
+  constraints come out in one order whatever the hash seed.
 - Domains start at the column masks, and propagation is driven by what
   changed: each queued variable carries the values it lost, and a binary
   revision walks those or the values still left, whichever are fewer.
-  Constraints of arity three or more rescan their rows.  Generalized arc
-  consistency runs after every assignment.
+  The queue is first in, first out (AC-3's order), which revises far fewer
+  arcs than taking the newest first.  Constraints of arity three or more
+  rescan their rows.  Generalized arc consistency runs after every
+  assignment.
 - A search may also carry union constraints, each a disjunction of atoms
   over source elements (``eval_dnf_hom`` makes one from each ``Or`` of
   atoms).  One is revised by constructive disjunction once the other
@@ -26,11 +34,12 @@ the source tuple's repetition pattern.
   backtracking undoes the trail instead of copying the domains at each
   level, and depth is not bound by the interpreter's recursion limit.
 
-One builder, ``_constraints``, propagates a search's constraints to the
-root fixpoint; one solver, ``_solve``, propagates from given domains and
-backtracks.  ``core`` builds the constraints of ``a -> a`` once and tests
-each removal by masking one value out of the root domains.  ``isomorphic``
-is one search between copies that also relate every two distinct elements.
+One builder, ``_constraints``, binds a source skeleton to a target and
+propagates to the root fixpoint; one solver, ``_solve``, propagates from
+given domains and backtracks.  ``core`` builds the constraints of
+``a -> a`` once and tests each removal by masking one value out of the root
+domains.  ``isomorphic`` is one search between copies that also relate
+every two distinct elements.
 
 Variables are picked by fewest remaining candidates with a degree
 tie-break, values in target universe order, so both the verdict and the
@@ -132,6 +141,62 @@ def _prepared(target):
     return table
 
 
+class _Skeleton:
+    """The source-side half of the constraints, built once per source structure.
+
+    ``sindex`` numbers the source elements, and ``degree`` counts, per
+    element, the source tuples with two or more distinct elements that hold
+    it.  ``keys`` has one item per (symbol, repetition pattern) of the source
+    tuples, in signature order and then pattern order: (name, pattern, per
+    column the distinct variables in it, the forward and the backward
+    partner lists of the binary tuples as (variable, partners), the variable
+    tuples of arity three or more), each sorted by variable index.  So the
+    constraints come out in one order, whatever the order of the relation
+    sets.
+    """
+
+    __slots__ = ("sindex", "degree", "keys")
+
+    def __init__(self, source):
+        self.sindex = sindex = {e: i for i, e in enumerate(source.universe)}
+        degree = [0] * len(sindex)
+        keys = []
+        for sym in source.signature:
+            by_pattern = {}
+            for t in source.relations[sym.name]:
+                distinct, pattern = repetition_pattern(t)
+                vars = tuple(sindex[x] for x in distinct)
+                by_pattern.setdefault(pattern, []).append(vars)
+                if len(vars) > 1:
+                    for v in vars:
+                        degree[v] += 1
+            for pattern in sorted(by_pattern):
+                tuples = sorted(by_pattern[pattern])
+                cols = tuple(tuple(sorted(set(column))) for column in zip(*tuples))
+                pairs = tuples if len(tuples[0]) == 2 else ()
+                keys.append((sym.name, pattern, cols, _partners(pairs),
+                             _partners(sorted((y, x) for x, y in pairs)),
+                             tuple(tuples) if len(tuples[0]) > 2 else ()))
+        self.degree = tuple(degree)
+        self.keys = tuple(keys)
+
+
+def _partners(pairs):
+    # sorted (x, y) pairs grouped as (x, (y, ...)) in order of x
+    groups = {}
+    for x, y in pairs:
+        groups.setdefault(x, []).append(y)
+    return tuple((x, tuple(ys)) for x, ys in groups.items())
+
+
+def _skeleton(source):
+    # Kept on the source as ``_prepared`` keeps the target tables.
+    skeleton = source.__dict__.get("_skeleton")
+    if skeleton is None:
+        skeleton = source.__dict__["_skeleton"] = _Skeleton(source)
+    return skeleton
+
+
 def _reach(values, table):
     # the union of table[v] over the values v in the mask
     out = 0
@@ -203,13 +268,14 @@ def _propagate(domains, arcs, scans, unions, queue, trail):
 
     ``queue`` maps each variable to the values it lost since it was last
     processed, and every narrowing is logged on ``trail`` as (variable, old
-    mask).  Processing ``x`` rescans the rows of its constraints of arity
-    three or more, then revises its binary arcs ``x -> y`` from whichever is
-    smaller: the values ``x`` still has, or the values it lost.  Its union
-    constraints wait until the queue is empty, so that each is revised
-    against settled domains.  Each revision only drops values without
-    support, so the result is the unique largest fixpoint, whatever the
-    order.
+    mask).  Variables are processed first in, first out; one that loses
+    more values while queued keeps its place.  Processing ``x`` rescans the
+    rows of its constraints of arity three or more, then revises its binary
+    arcs ``x -> y`` from whichever is smaller: the values ``x`` still has,
+    or the values it lost.  Its union constraints wait until the queue is
+    empty, so that each is revised against settled domains.  Each revision
+    only drops values without support, so the result is the unique largest
+    fixpoint, whatever the order; the order only sets the work.
     """
     pending = {}  # union constraints to revise once the queue is empty
     while queue or pending:
@@ -222,7 +288,8 @@ def _propagate(domains, arcs, scans, unions, queue, trail):
                 if removed:  # values is never empty: its live branches support it
                     _remove(domains, v, removed, queue, trail)
             continue
-        x, lost = queue.popitem()
+        x = next(iter(queue))  # the oldest, so each variable waits its turn
+        lost = queue.pop(x)
         for vars, entry in scans[x]:
             for v, kept in zip(vars, _supported(vars, entry, domains)):
                 removed = domains[v] & ~kept
@@ -289,14 +356,21 @@ def _search(source, unions, target, fixed, max_nodes, stats):
 
 def _constraints(source, unions, target, fixed):
     """The root fixpoint domains of a search and its constraints (arcs,
-    scans, unions, degree), or None when that fixpoint wipes out."""
+    scans, unions, degree), or None when that fixpoint wipes out.
+
+    The source's skeleton is bound to the target with one table entry per
+    (symbol, repetition pattern) key.  Each variable starts at the values
+    with a support in every column it fills, which is what a first revision
+    against full domains would leave.
+    """
     if source.signature != target.signature:
         raise SignatureMismatch("homomorphism search needs similar structures")
     if not source.universe or not target.universe:
         raise EpqError("homomorphism search needs non-empty universes")
+    skeleton = _skeleton(source)
     prepared = _prepared(target)
     tindex = prepared.tindex
-    sindex = {e: i for i, e in enumerate(source.universe)}
+    sindex = skeleton.sindex
     n = len(source.universe)
     full = (1 << prepared.size) - 1
     domains = [full] * n
@@ -308,32 +382,24 @@ def _constraints(source, unions, target, fixed):
                 raise EpqError(f"fixed value {val!r} is not in the target universe")
             domains[sindex[elem]] &= 1 << tindex[val]
 
-    # One constraint per source tuple, over its distinct elements.  Each
-    # variable starts at the values with a support in every column it fills,
-    # which is what a first revision against full domains would leave.
-    arcs = [{} for _ in range(n)]  # id(partner masks) -> (partner masks, reverse masks, others)
+    arcs = [[] for _ in range(n)]  # (partner masks, reverse masks, others)
     scans = [[] for _ in range(n)]  # (variables, table entry) of arity three or more
-    union_of = {}  # variable -> {id(branches): branches} of the unions over it
-    degree = [0] * n
-    for sym in source.signature:
-        for t in source.relations[sym.name]:
-            distinct, pattern = repetition_pattern(t)
-            entry = prepared.entry(sym.name, pattern)
-            _, cols, fwd, rev = entry
-            vars = [sindex[x] for x in distinct]
-            for v, col in zip(vars, cols):
-                domains[v] &= col
-            if len(vars) == 2:
-                for (x, y), out, back in ((vars, fwd, rev), (vars[::-1], rev, fwd)):
-                    arcs[x].setdefault(id(out), (out, back, []))[2].append(y)
-            elif len(vars) > 2:
-                for v in vars:
-                    scans[v].append((vars, entry))
-            if len(vars) > 1:
-                for v in vars:
-                    degree[v] += 1
-    arcs = [list(groups.values()) for groups in arcs]
+    for name, pattern, cols, forward, backward, wide in skeleton.keys:
+        entry = prepared.entry(name, pattern)
+        _, masks, fwd, rev = entry
+        for mask, vars in zip(masks, cols):
+            for v in vars:
+                domains[v] &= mask
+        for x, ys in forward:
+            arcs[x].append((fwd, rev, ys))
+        for y, xs in backward:
+            arcs[y].append((rev, fwd, xs))
+        for vars in wide:
+            for v in vars:
+                scans[v].append((vars, entry))
     queue = {v: full ^ dom for v, dom in enumerate(domains) if dom != full}
+    union_of = {}  # variable -> {id(branches): branches} of the unions over it
+    degree = list(skeleton.degree) if unions else skeleton.degree
     for union in unions:
         branches = []
         for name, args in union:

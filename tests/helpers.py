@@ -6,19 +6,24 @@ enumerating every elimination order, satisfiability by enumerating every
 assignment.  The reference versions at the end (``restart_core``,
 ``per_element_core``, ``two_phase_m_normalize``, ``rescan_treewidth_upper``,
 ``table_treewidth_exact``, ``flat_eval_dnf_hom``,
-``renaming_structure_and_unions`` and ``dfs_validate_decomposition``) do
+``renaming_structure_and_unions``, ``dfs_validate_decomposition``,
+``per_tuple_constraints``, ``lifo_propagate`` and ``per_tuple_search``) do
 use the library: they are the earlier, plainer control flow of ``core`` (two),
 ``m_normalize``, ``treewidth_upper``, ``treewidth_exact``,
-``eval_dnf_hom``, ``formulas._structure_and_unions`` and
-``validate_decomposition``, kept to pin their outputs.
+``eval_dnf_hom``, ``formulas._structure_and_unions``,
+``validate_decomposition``, ``homomorphism._constraints``,
+``homomorphism._propagate`` and ``homomorphism._search``, kept to pin their
+outputs.
 """
 
 import itertools
 import random
 
 import epquery as q
+from epquery import homomorphism
 from epquery.errors import MAX_NODES
 from epquery.formulas import walk
+from epquery.structures import repetition_pattern
 from epquery.treewidth import _bits, _elimination_cost
 
 E2 = q.digraph_signature()
@@ -542,3 +547,134 @@ def dfs_validate_decomposition(a, d):
         for sym in a.signature
         for t in a.relations[sym.name]
     )
+
+
+def per_tuple_constraints(source, unions, target, fixed):
+    """Reference ``homomorphism._constraints``: the source side is redone per
+    call, one source tuple at a time in relation-set order, and the root
+    fixpoint is reached by ``lifo_propagate``."""
+    if source.signature != target.signature:
+        raise q.SignatureMismatch("homomorphism search needs similar structures")
+    if not source.universe or not target.universe:
+        raise q.EpqError("homomorphism search needs non-empty universes")
+    prepared = homomorphism._prepared(target)
+    tindex = prepared.tindex
+    sindex = {e: i for i, e in enumerate(source.universe)}
+    n = len(source.universe)
+    full = (1 << prepared.size) - 1
+    domains = [full] * n
+    if fixed:
+        for elem, val in fixed.items():
+            if elem not in sindex:
+                raise q.EpqError(f"fixed element {elem!r} is not in the source universe")
+            if val not in tindex:
+                raise q.EpqError(f"fixed value {val!r} is not in the target universe")
+            domains[sindex[elem]] &= 1 << tindex[val]
+    arcs = [{} for _ in range(n)]
+    scans = [[] for _ in range(n)]
+    union_of = {}
+    degree = [0] * n
+    for sym in source.signature:
+        for t in source.relations[sym.name]:
+            distinct, pattern = repetition_pattern(t)
+            entry = prepared.entry(sym.name, pattern)
+            _, cols, fwd, rev = entry
+            vars = [sindex[x] for x in distinct]
+            for v, col in zip(vars, cols):
+                domains[v] &= col
+            if len(vars) == 2:
+                for (x, y), out, back in ((vars, fwd, rev), (vars[::-1], rev, fwd)):
+                    arcs[x].setdefault(id(out), (out, back, []))[2].append(y)
+            elif len(vars) > 2:
+                for v in vars:
+                    scans[v].append((vars, entry))
+            if len(vars) > 1:
+                for v in vars:
+                    degree[v] += 1
+    arcs = [list(groups.values()) for groups in arcs]
+    queue = {v: full ^ dom for v, dom in enumerate(domains) if dom != full}
+    for union in unions:
+        branches = []
+        for name, args in union:
+            distinct, pattern = repetition_pattern(args)
+            branches.append(([sindex[x] for x in distinct], prepared.entry(name, pattern)))
+        scope = sorted({v for vars, _ in branches for v in vars})
+        for v in scope:
+            union_of.setdefault(v, {})[id(branches)] = branches
+            if len(scope) > 1:
+                degree[v] += 1
+        queue.setdefault(scope[0], 0)
+    if not all(domains) or not lifo_propagate(domains, arcs, scans, union_of, queue, []):
+        return None
+    return domains, (arcs, scans, union_of, degree)
+
+
+def lifo_propagate(domains, arcs, scans, unions, queue, trail):
+    """Reference ``homomorphism._propagate``: the newest queued variable is
+    processed first."""
+    remove, supported = homomorphism._remove, homomorphism._supported
+    pending = {}
+    while queue or pending:
+        if not queue:
+            kept = homomorphism._union_kept(pending.popitem()[1], domains)
+            if kept is None:
+                return False
+            for v, values in kept.items():
+                removed = domains[v] & ~values
+                if removed:
+                    remove(domains, v, removed, queue, trail)
+            continue
+        x, lost = queue.popitem()
+        for vars, entry in scans[x]:
+            for v, kept in zip(vars, supported(vars, entry, domains)):
+                removed = domains[v] & ~kept
+                if removed and not remove(domains, v, removed, queue, trail):
+                    return False
+        if x in unions:
+            pending.update(unions[x])
+        dom_x = domains[x]
+        from_lost = lost.bit_count() < dom_x.bit_count()
+        for out, back, ys in arcs[x]:
+            reached = 0
+            rest = lost if from_lost else dom_x
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                reached |= out[bit.bit_length() - 1]
+            for y in ys:
+                dom_y = domains[y]
+                if from_lost:
+                    removed = 0
+                    rest = reached & dom_y
+                    while rest:
+                        bit = rest & -rest
+                        rest ^= bit
+                        if not back[bit.bit_length() - 1] & dom_x:
+                            removed |= bit
+                else:
+                    removed = dom_y & ~reached
+                if removed:
+                    if removed == dom_y:
+                        return False
+                    trail.append((y, dom_y))
+                    domains[y] = dom_y ^ removed
+                    queue[y] = queue.get(y, 0) | removed
+    return True
+
+
+def per_tuple_search(source, unions, target, fixed, *, stats=None):
+    """Reference ``homomorphism._search``: ``per_tuple_constraints``, then
+    ``homomorphism._solve`` with ``lifo_propagate`` in place of the
+    module's propagation.  The witness mapping, or None."""
+    built = per_tuple_constraints(source, unions, target, fixed)
+    if built is None:
+        return None
+    real = homomorphism._propagate
+    homomorphism._propagate = lifo_propagate
+    try:
+        found = homomorphism._solve(built[1], built[0], {}, MAX_NODES, stats)
+    finally:
+        homomorphism._propagate = real
+    if not found:
+        return None
+    return {x: target.universe[dom.bit_length() - 1] for x, dom in zip(source.universe, built[0])}

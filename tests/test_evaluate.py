@@ -126,6 +126,18 @@ def test_eval_kvar_join_respects_max_rows():
     assert stats["joins"] == 1 and stats["rows_max"] == 200 * 200
 
 
+def test_evaluate_forwards_max_rows_to_kvar():
+    sig = q.Signature([q.RelationSymbol("P", 1)])
+    names = tuple(f"a{i}" for i in range(200))
+    b = q.Structure(sig, names, {"P": {(x,) for x in names}})
+    f = q.parse_formula("exists x . exists y . P(x) & P(y)")
+    with pytest.raises(q.LimitExceeded) as caught:
+        q.evaluate(f, b, "kvar", max_rows=1000)
+    assert (caught.value.what, caught.value.limit) == ("bounded-variable relation size", 1000)
+    # the limits of the other strategies do not reach kvar
+    assert q.evaluate(f, b, "kvar", max_nodes=1, max_disjuncts=1, max_work=1)
+
+
 # Join calls and the largest relation of the 3 x 10 grid's 4-variable form:
 # a change of join order fails here, not only in the benchmark.  On the
 # false target the first empty part stops the plan after 7 joins.

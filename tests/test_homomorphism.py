@@ -1,11 +1,18 @@
+import collections
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 import epquery as q
 from epquery import homomorphism
+from epquery.errors import MAX_NODES
 from epquery.structures import repetition_pattern
 from helpers import (
     E2,
@@ -17,6 +24,8 @@ from helpers import (
     flat_eval_dnf_hom,
     path_digraph,
     per_element_core,
+    per_tuple_constraints,
+    per_tuple_search,
     random_structure,
     restart_core,
     sparse_digraph,
@@ -335,9 +344,138 @@ def test_union_constraint_revision():
 def test_prepared_target_is_invisible_to_equality():
     b = cycle_digraph(3)
     twin = cycle_digraph(3)
-    assert q.find_homomorphism(cycle_digraph(6, "s"), b) is not None
+    a = cycle_digraph(6, "s")
+    source_twin = cycle_digraph(6, "s")
+    assert q.find_homomorphism(a, b) is not None
     assert b == twin
     assert q.format_structure(b) == q.format_structure(twin)
+    # the source keeps its constraint skeleton the same way
+    assert "_skeleton" in a.__dict__
+    assert a == source_twin
+    assert q.format_structure(a) == q.format_structure(source_twin)
+
+
+MIXED = q.Signature(
+    [q.RelationSymbol("P", 1), q.RelationSymbol("E", 2), q.RelationSymbol("T", 3)]
+)
+
+
+def _random_unions(rng, source):
+    # 1-3 unions of 1-3 atoms each, over source elements that may repeat
+    return [
+        [(sym.name, tuple(rng.choice(source.universe) for _ in range(sym.arity)))
+         for sym in (rng.choice(source.signature.symbols) for _ in range(rng.randint(1, 3)))]
+        for _ in range(rng.randint(1, 3))
+    ]
+
+
+def _described(built):
+    # root domains, then the arcs, scans and unions as multisets, then degrees;
+    # a table is named by the identity of its object in the shared target tables
+    domains, (arcs, scans, union_of, degree) = built
+    return (
+        domains,
+        collections.Counter((x, id(out), id(back), y)
+                            for x, groups in enumerate(arcs) for out, back, ys in groups
+                            for y in ys),
+        collections.Counter((v, tuple(vars), id(entry))
+                            for v, items in enumerate(scans) for vars, entry in items),
+        collections.Counter((v, tuple((tuple(vars), id(entry)) for vars, entry in branches))
+                            for v, by_id in union_of.items() for branches in by_id.values()),
+        list(degree),
+    )
+
+
+def _loopless_symmetric(rng, n, density, prefix):
+    names = [f"{prefix}{i}" for i in range(n)]
+    edges = {(x, y) for x, y in itertools.combinations(names, 2) if rng.random() < density}
+    return digraph(names, edges | {(y, x) for x, y in edges})
+
+
+def test_constraints_match_per_tuple_reference():
+    # The skeleton bound to a target gives the root fixpoint, arcs, scans,
+    # unions and degrees of the per-tuple builder, and a search from them
+    # finds the same witness in the same number of nodes as the reference
+    # search with newest-first propagation.  Random E/2 and P/1+E/2+T/3
+    # pairs have repeated arguments and are mostly settled at the root;
+    # colouring-like pairs (loopless symmetric graphs) are left to search.
+    rng = random.Random(97)
+    outcomes = collections.Counter()
+    for trial in range(450):
+        family = trial % 3
+        if family == 2:
+            a = _loopless_symmetric(rng, rng.randint(4, 8), rng.choice([0.4, 0.6]), "e")
+            b = _loopless_symmetric(rng, rng.randint(3, 4), rng.choice([0.6, 0.8]), "t")
+        else:
+            sig = (E2, MIXED)[family]
+            density = rng.choice([0.1, 0.2, 0.4]) if sig is E2 else rng.choice([0.05, 0.1, 0.2])
+            a = random_structure(rng, sig, 7, density=density)
+            b = random_structure(rng, sig, 4, density=rng.choice([0.3, 0.5, 0.7]), prefix="t")
+        fixed = None
+        if trial % 4 == 0:
+            fixed = {x: rng.choice(b.universe) for x in rng.sample(a.universe, min(2, len(a.universe)))}
+        unions = _random_unions(rng, a) if trial % 5 < 2 else ()
+        ref = per_tuple_constraints(a, unions, b, fixed)
+        new = homomorphism._constraints(a, unions, b, fixed)
+        if ref is None:
+            assert new is None
+        else:
+            assert _described(new) == _described(ref)
+        stats, ref_stats = q.SearchStats(), q.SearchStats()
+        if unions:
+            found = homomorphism._search(a, unions, b, fixed, MAX_NODES, stats)
+        else:
+            found = q.find_homomorphism(a, b, fixed=fixed, stats=stats)
+        expected = per_tuple_search(a, unions, b, fixed, stats=ref_stats)
+        assert (found and found.mapping) == expected
+        assert stats.nodes == ref_stats.nodes
+        outcomes["wiped" if ref is None else "found" if expected else "refuted"] += 1
+        outcomes["unions"] += bool(unions)
+        outcomes["fixed"] += bool(fixed)
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+def test_constraints_order_does_not_depend_on_the_hash_seed():
+    # The per-variable partner lists and scans come out in one order under
+    # every hash seed, although the relations are sets.
+    script = """
+import json
+from epquery import homomorphism
+from helpers import sparse_digraph, triangulated_grid
+import epquery as q
+
+sig = q.Signature([q.RelationSymbol("E", 2), q.RelationSymbol("T", 3)])
+
+def with_triangles(g):
+    edges = g.relations["E"]
+    return q.Structure(sig, g.universe, {"E": edges, "T": {
+        (x, y, z) for x, y in edges for w, z in edges if w == y and (x, z) in edges}})
+
+source = with_triangles(triangulated_grid(3, 4))
+target = with_triangles(sparse_digraph(5, 40, 16))
+domains, (arcs, scans, _, degree) = homomorphism._constraints(source, (), target, None)
+names = {}
+for key, entry in homomorphism._prepared(target).keys.items():
+    names[id(entry)] = key
+    if entry[2] is not None:
+        names[id(entry[2])], names[id(entry[3])] = key + ("fwd",), key + ("rev",)
+print(json.dumps({
+    "arcs": [[(names[id(out)], ys) for out, _, ys in groups] for groups in arcs],
+    "scans": [[(vars, names[id(entry)]) for vars, entry in items] for items in scans],
+    "degree": degree,
+    "domains": domains,
+}))
+"""
+    root = Path(__file__).resolve().parent.parent
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        runs.append(json.loads(done.stdout))
+    assert runs[0] == runs[1]
+    assert any(runs[0]["scans"]) and any(runs[0]["arcs"])
 
 
 def test_search_is_deterministic():

@@ -201,3 +201,24 @@ def test_compile_unary_random_properties():
         assert info.variables == 1
         assert len(_little_sentences(out)) <= 2 ** len(PQ_SIG)
         assert _equivalent_on(PQ_SIG, (1, 2), f, out)
+
+
+def test_m_normalize_builds_one_skeleton_per_disjunct(monkeypatch):
+    # Each flattened disjunct's structure is the source of several entailment
+    # tests; its constraint skeleton is built at its first and kept on it.
+    phi = q.parse_formula(
+        "exists x1 . exists x2 . exists x3 . ((E(x1,x2) | P(x3))"
+        " & (exists z . (E(x2,z) & E(z,x3)) | E(x3,x1)) & (P(x1) | E(x2,x2)))"
+    )
+    built = []
+
+    class Counting(homomorphism._Skeleton):
+        __slots__ = ()
+
+        def __init__(self, source):
+            built.append(source)
+            super().__init__(source)
+
+    monkeypatch.setattr(homomorphism, "_Skeleton", Counting)
+    assert len(q.m_normalize(phi)) == 5
+    assert len(built) == len({id(s) for s in built}) == len(q.to_pp_disjunction(phi)) == 8
