@@ -3,8 +3,8 @@
 Verdict-producing subcommands exit 0 for true, 1 for false, 2 on error;
 ``--format json`` prints one structured record instead of plain text.
 Resource limits come from flags, with environment-variable fallbacks
-(EPQ_MAX_NODES, EPQ_MAX_DISJUNCTS, EPQ_MAX_EXACT_TW); each subcommand takes
-only the limit flags it reads.
+(EPQ_MAX_NODES, EPQ_MAX_DISJUNCTS, EPQ_MAX_EXACT_TW, EPQ_MAX_ROWS,
+EPQ_MAX_WORK); each subcommand takes only the limit flags it reads.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import sys
 import traceback
 from pathlib import Path
 
-from .errors import MAX_DISJUNCTS, MAX_EXACT_TW, MAX_NODES, EpqError, LimitExceeded
+from .errors import (MAX_DISJUNCTS, MAX_EXACT_TW, MAX_NODES, MAX_ROWS, MAX_WORK, EpqError,
+                     LimitExceeded)
 from .evaluate import evaluate
 from .formulas import classify, parse_formula, render
 from .gadgets import (
@@ -51,6 +52,8 @@ _LIMITS = {
     "max_nodes": ("EPQ_MAX_NODES", MAX_NODES),
     "max_disjuncts": ("EPQ_MAX_DISJUNCTS", MAX_DISJUNCTS),
     "max_exact_tw": ("EPQ_MAX_EXACT_TW", MAX_EXACT_TW),
+    "max_rows": ("EPQ_MAX_ROWS", MAX_ROWS),
+    "max_work": ("EPQ_MAX_WORK", MAX_WORK),
 }
 
 
@@ -95,15 +98,8 @@ def _cmd_eval(args, limits):
         structure = _load_structure(args.structure)
     # kvar fills a dict with its joins, largest relation and widest arity
     stats = {} if args.strategy == "kvar" else SearchStats()
-    verdict = evaluate(
-        sentence,
-        structure,
-        args.strategy,
-        k=args.k,
-        stats=stats,
-        max_nodes=limits["max_nodes"],
-        max_disjuncts=limits["max_disjuncts"],
-    )
+    # each strategy reads the limits it has: see evaluate()
+    verdict = evaluate(sentence, structure, args.strategy, k=args.k, stats=stats, **limits)
     record = {"verdict": verdict,
               "stats": stats if args.strategy == "kvar" else {"nodes-searched": stats.nodes}}
     return ["true" if verdict else "false"], record, 0 if verdict else 1
@@ -245,7 +241,7 @@ def build_parser():
     p.add_argument("--bundle", help="directory holding sentence.epq and structure.str")
     p.add_argument("--strategy", choices=("naive", "kvar", "dnf-hom", "pp-reduction"), default="naive")
     p.add_argument("--k", type=int, default=None, help="variable bound for the kvar strategy")
-    _add_common(p, "max_nodes", "max_disjuncts")
+    _add_common(p, "max_nodes", "max_disjuncts", "max_rows", "max_work")
     p.set_defaults(handler=_cmd_eval)
 
     p = subs.add_parser("hom", help="search for a homomorphism between structures")

@@ -30,6 +30,8 @@ MAX_NODES = 10_000_000  # homomorphism search nodes
 MAX_DISJUNCTS = 10_000  # primitive positive disjuncts of one sentence
 MAX_EXACT_TW = 20  # universe size for exact treewidth
 MAX_CORE = 24  # universe size for core computation
+MAX_ROWS = 10_000_000  # rows of one bounded-variable relation
+MAX_WORK = 10_000_000  # naive evaluation's work estimate
 
 
 class LimitExceeded(EpqError):

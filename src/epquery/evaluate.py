@@ -16,6 +16,8 @@ from operator import itemgetter
 from .errors import (
     MAX_DISJUNCTS,
     MAX_NODES,
+    MAX_ROWS,
+    MAX_WORK,
     EpqError,
     FragmentError,
     LimitExceeded,
@@ -31,6 +33,7 @@ from .formulas import (
     Or,
     _free_sets,
     _structure_and_unions,
+    children,
     classify,
     structure_of_pp,
     subformulas,
@@ -61,14 +64,18 @@ def _check_symbols(phi, b):
                 )
 
 
-def eval_naive(phi, b, *, max_work=10_000_000):
+def eval_naive(phi, b, *, max_work=MAX_WORK):
     """Truth of a closed formula by a walk over all variable assignments.
 
     The work estimate |B| ** (max free variables over subformulas) is checked
     against ``max_work`` before evaluation starts.  Each subformula's verdict
-    depends only on its free variables, so results are cached per assignment
-    of those; that keeps the actual work proportional to the estimate even
-    when quantifiers nest far deeper than the number of live variables.
+    depends only on its free variables, so it is cached per assignment of
+    those where a lookup can hit: at a node that occurs twice or has fewer
+    free variables than quantifiers above it (shadowed binders count once per
+    quantifier); any other node meets each assignment at most once.  That
+    keeps the actual work proportional to the estimate even when quantifiers
+    nest far deeper than the number of live variables.  Atoms and equalities
+    are decided in their parent's loop, without a walker frame.
     """
     free_of = {key: tuple(sorted(names)) for key, names in _free_sets(subformulas(phi)).items()}
     if free_of[id(phi)]:
@@ -79,45 +86,56 @@ def eval_naive(phi, b, *, max_work=10_000_000):
         raise EpqError("evaluation needs a non-empty universe")
     if size ** max(map(len, free_of.values())) > max_work:
         raise LimitExceeded("naive evaluation work estimate", max_work)
+    # the root is the one child of a conjunction, so it is decided like any child
+    return walk(_truth(And((phi,)), b, {}, {}, _reusable(phi, free_of)))
 
-    return walk(_truth(phi, b, {}, {}, free_of))
+
+def _reusable(phi, free_of):
+    # id -> key maker, for each node whose cached verdict a later visit can read
+    seen, reusable = set(), {}
+    stack = [(phi, 0)]
+    while stack:
+        g, above = stack.pop()
+        if id(g) in seen or len(free_of[id(g)]) < above:
+            reusable[id(g)] = _columns(free_of[id(g)])
+        seen.add(id(g))
+        above += type(g) is Exists or type(g) is Forall
+        stack.extend((c, above) for c in children(g))
+    return reusable
 
 
-def _truth(f, b, env, memo, free_of):
-    # Verdict of f under the assignment env, cached per assignment of its
-    # free variables.
+def _truth(f, b, env, memo, reusable):
+    # Verdict of the compound node f under env.  Each kind loops over its
+    # children (Not over its one child) until a child's verdict is ``stop``,
+    # which flips the verdict it started from.
     kind = type(f)
-    if kind is Atom:
-        return tuple(env[x] for x in f.args) in b.relations[f.symbol]
-    if kind is Equality:
-        return env[f.left] == env[f.right]
-    key = (id(f), tuple(env[v] for v in free_of[id(f)]))
+    key = (id(f), reusable[id(f)](env)) if id(f) in reusable else None
     verdict = memo.get(key)
     if verdict is not None:
         return verdict
-    if kind is Not:
-        verdict = not (yield _truth(f.child, b, env, memo, free_of))
-    elif kind is Exists or kind is Forall:
-        previous = env.get(f.var, _MISSING)
-        want_any = kind is Exists
-        verdict = not want_any
-        for value in b.universe:
-            env[f.var] = value
-            if (yield _truth(f.child, b, env, memo, free_of)) == want_any:
-                verdict = want_any
-                break
-        if previous is _MISSING:
-            del env[f.var]
+    quantifier = kind is Exists or kind is Forall
+    stop = kind is Exists or kind is Or or kind is Not
+    verdict = kind is Not or not stop
+    previous = env.get(f.var, _MISSING) if quantifier else None
+    for item in b.universe if quantifier else children(f):
+        if quantifier:
+            env[f.var] = item
+        c = f.child if quantifier else item
+        if type(c) is Atom:
+            holds = tuple([env[x] for x in c.args]) in b.relations[c.symbol]
+        elif type(c) is Equality:
+            holds = env[c.left] == env[c.right]
         else:
-            env[f.var] = previous
-    else:
-        want_any = kind is Or
-        verdict = not want_any
-        for c in f.children:
-            if (yield _truth(c, b, env, memo, free_of)) == want_any:
-                verdict = want_any
-                break
-    memo[key] = verdict
+            holds = yield _truth(c, b, env, memo, reusable)
+        if holds == stop:
+            verdict = not verdict
+            break
+    if previous is _MISSING:
+        del env[f.var]
+    elif quantifier:
+        env[f.var] = previous
+    if key is not None:
+        memo[key] = verdict
     return verdict
 
 
@@ -125,7 +143,7 @@ _MISSING = object()
 
 
 def _columns(positions):
-    # The entries of a row at ``positions``, always as a tuple.
+    # The entries of a row (or of a mapping) at ``positions``, always as a tuple.
     if len(positions) == 1:
         (p,) = positions
         return lambda row: (row[p],)
@@ -199,7 +217,7 @@ def _complement(va, ra, run):
     return run.built(va, set(itertools.product(universe, repeat=len(va))) - ra)
 
 
-def eval_kvar(phi, b, k, *, stats=None, max_rows=10_000_000):
+def eval_kvar(phi, b, k, *, stats=None, max_rows=MAX_ROWS):
     """Bottom-up evaluation computing satisfying assignments per subformula.
 
     Each intermediate relation ranges over the free variables of its
@@ -207,6 +225,9 @@ def eval_kvar(phi, b, k, *, stats=None, max_rows=10_000_000):
 
     - its compound children are evaluated first, one at a time, then its
       atoms and equalities;
+    - an ``Or`` child whose free variables lie within those of a pending
+      part filters the smallest such part: it keeps the part's rows on which
+      some disjunct holds, so that ``Or`` is never padded to its variables;
     - a part whose variables contain, or lie within, those of a part still
       pending is joined with it at once, which only filters;
     - at the first empty part the conjunction is empty, and its remaining
@@ -221,8 +242,8 @@ def eval_kvar(phi, b, k, *, stats=None, max_rows=10_000_000):
     atoms is built while one of its subtrees is evaluated.
     ``max_rows`` bounds every relation built.  When given, ``stats`` gets
     ``max_arity`` (the largest arity of a relation a visited subformula
-    produced), ``joins`` (join calls) and ``rows_max`` (the largest relation
-    built).
+    produced), ``joins`` (combinations of two relations, a filtered ``Or``
+    counting as one) and ``rows_max`` (the largest relation built).
     """
     info = classify(phi)
     if info.variables > k:
@@ -258,7 +279,13 @@ def _relation(f, run):
     elif kind is And:
         pending = []
         for c in sorted(f.children, key=lambda c: isinstance(c, (Atom, Equality))):
-            va, ra = yield _relation(c, run)
+            covering = [p for p in pending if run.free[id(c)] <= set(p[0])] if type(c) is Or else []
+            part = min(covering, key=lambda p: len(p[1]), default=None)
+            if part is not None:
+                pending = [p for p in pending if p is not part]
+                va, ra = yield _filtered(c, part, run)
+            else:
+                va, ra = yield _relation(c, run)
             unmerged = []
             for vb, rb in pending:
                 if ra and (set(va) <= set(vb) or set(vb) <= set(va)):
@@ -295,6 +322,23 @@ def _relation(f, run):
                 va, ra = _complement(va, ra, run)
     run.widest = max(run.widest, len(va))
     return run.built(va, ra)
+
+
+def _filtered(f, part, run):
+    # Rows of the pending part on which some child of the Or f holds: the
+    # filtering join of the part with f's padded relation, as one join.
+    vb, rest = part
+    run.joins += 1
+    kept = set()
+    for c in f.children:
+        vc, rc = yield _relation(c, run)
+        key = _columns([vb.index(v) for v in vc])
+        hit = {row for row in rest if key(row) in rc}
+        kept |= hit
+        rest = rest - hit
+        if not rest:
+            break
+    return run.built(vb, kept)
 
 
 def _greedy_join(parts, run):
@@ -374,19 +418,17 @@ def evaluate(phi, b, strategy="naive", *, k=None, stats=None, **limits):
     kind = dict if strategy == "kvar" else SearchStats
     if stats is not None and strategy in _STRATEGIES[1:] and not isinstance(stats, kind):
         raise EpqError(f"strategy {strategy!r} keeps its counters in a {kind.__name__}")
+
+    def taking(*names):
+        return {name: limits[name] for name in names if name in limits}
+
     if strategy == "naive":
-        return eval_naive(phi, b, **{k_: v for k_, v in limits.items() if k_ == "max_work"})
+        return eval_naive(phi, b, **taking("max_work"))
     if strategy == "kvar":
         bound = k if k is not None else classify(phi).variables
-        return eval_kvar(phi, b, bound, stats=stats, **{
-            k_: v for k_, v in limits.items() if k_ == "max_rows"
-        })
+        return eval_kvar(phi, b, bound, stats=stats, **taking("max_rows"))
     if strategy == "dnf-hom":
-        return eval_dnf_hom(phi, b, stats=stats, **{
-            k_: v for k_, v in limits.items() if k_ in ("max_disjuncts", "max_nodes")
-        })
+        return eval_dnf_hom(phi, b, stats=stats, **taking("max_disjuncts", "max_nodes"))
     if strategy == "pp-reduction":
-        return eval_via_pp_turing(phi, b, stats=stats, **{
-            k_: v for k_, v in limits.items() if k_ in ("max_disjuncts", "max_nodes")
-        })
+        return eval_via_pp_turing(phi, b, stats=stats, **taking("max_disjuncts", "max_nodes"))
     raise EpqError(f"unknown strategy {strategy!r}; expected one of {_STRATEGIES}")

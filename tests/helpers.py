@@ -7,26 +7,30 @@ assignment.  The reference versions at the end (``restart_core``,
 ``per_element_core``, ``two_phase_m_normalize``, ``rescan_treewidth_upper``,
 ``table_treewidth_exact``, ``flat_eval_dnf_hom``,
 ``renaming_structure_and_unions``, ``dfs_validate_decomposition``,
-``per_tuple_constraints``, ``lifo_propagate`` and ``per_tuple_search``) do
-use the library: they are the earlier, plainer control flow of ``core`` (two),
+``per_tuple_constraints``, ``lifo_propagate``, ``per_tuple_search``,
+``memo_every_node_eval_naive`` and ``padded_or_eval_kvar``) do use the
+library: they are the earlier, plainer control flow of ``core`` (two),
 ``m_normalize``, ``treewidth_upper``, ``treewidth_exact``,
 ``eval_dnf_hom``, ``formulas._structure_and_unions``,
 ``validate_decomposition``, ``homomorphism._constraints``,
-``homomorphism._propagate`` and ``homomorphism._search``, kept to pin their
-outputs.
+``homomorphism._propagate``, ``homomorphism._search``, ``eval_naive`` and
+``eval_kvar``, kept to pin their outputs.
 """
 
+import importlib
 import itertools
 import random
 
 import epquery as q
 from epquery import homomorphism
 from epquery.errors import MAX_NODES
-from epquery.formulas import walk
-from epquery.structures import repetition_pattern
+from epquery.formulas import _free_sets, walk
+from epquery.structures import project_rows, repetition_pattern
 from epquery.treewidth import _bits, _elimination_cost
 
 E2 = q.digraph_signature()
+# the module: the package exports the function ``evaluate`` under its name
+evaluate = importlib.import_module("epquery.evaluate")
 
 
 def digraph(universe, edges):
@@ -216,6 +220,64 @@ def random_union_sentence(rng, max_vars=4, max_depth=3):
         return union(scope)
 
     return gen(max_depth, [])
+
+
+FO_SIG = q.Signature([q.RelationSymbol("P", 1), q.RelationSymbol("E", 2)])
+
+
+def random_fo_sentence(rng, max_vars=3, max_depth=4):
+    """A closed first-order sentence over P/1 and E/2 with ``Not``,
+    ``Forall`` and equalities.
+
+    Quantifiers reuse names, so inner ones shadow outer ones.  A conjunction
+    puts a compound child first, often an ``Or`` over all of its variables,
+    and then ``Or``s over some of them, often one branch per variable, so
+    the bounded-variable evaluator filters some ``Or``s through an earlier
+    part of the conjunction and pads others; ``Or``s also sit directly
+    under quantifiers.
+    """
+    pool = [f"w{i}" for i in range(1, max_vars + 1)]
+
+    def leaf(scope):
+        roll = rng.random()
+        if roll < 0.15:
+            return q.Equality(rng.choice(scope), rng.choice(scope))
+        if roll < 0.5:
+            return q.Atom("P", (rng.choice(scope),))
+        return q.Atom("E", (rng.choice(scope), rng.choice(scope)))
+
+    def union(scope):
+        some = rng.sample(scope, rng.randint(1, len(scope)))
+        if rng.random() < 0.4:  # one branch per variable
+            return q.Or((*(q.Atom("P", (v,)) for v in some), leaf(some)))
+        return q.Or(tuple(leaf(some) for _ in range(rng.randint(2, 3))))
+
+    def wide(scope):  # an Or in which every variable of the scope occurs
+        ring = zip(scope, scope[1:] + scope[:1])
+        return q.Or((*(q.Atom("E", pair) for pair in ring), leaf(scope)))
+
+    def gen(depth, scope):
+        if not scope or (depth > 0 and rng.random() < 0.3):
+            v = rng.choice(pool)
+            kind = q.Exists if rng.random() < 0.6 else q.Forall
+            return kind(v, gen(depth - 1, sorted(set(scope) | {v})))
+        if depth <= 0:
+            return leaf(scope) if rng.random() < 0.5 else union(scope)
+        roll = rng.random()
+        if roll < 0.15:
+            return q.Not(gen(depth - 1, scope))
+        if roll < 0.6:
+            first = gen(depth - 1, scope) if rng.random() < 0.5 else wide(scope)
+            ors = [union(scope) for _ in range(rng.randint(1, 2))]
+            return q.And((first, *ors, leaf(scope)))
+        if roll < 0.8:
+            return q.Or((gen(depth - 1, scope), gen(depth - 1, scope)))
+        return union(scope)
+
+    sentence = gen(max_depth, sorted(rng.sample(pool, rng.randint(1, max_vars))))
+    for v in sorted(q.free_variables(sentence)):
+        sentence = (q.Exists if rng.random() < 0.6 else q.Forall)(v, sentence)
+    return sentence
 
 
 def random_pp_formula(rng, signature, max_vars=3, max_depth=3):
@@ -678,3 +740,130 @@ def per_tuple_search(source, unions, target, fixed, *, stats=None):
     if not found:
         return None
     return {x: target.universe[dom.bit_length() - 1] for x, dom in zip(source.universe, built[0])}
+
+
+def memo_every_node_eval_naive(phi, b, *, max_work=10_000_000):
+    """Reference ``eval_naive``: every node, atoms and equalities included,
+    is its own walker frame, and every compound node caches its verdict per
+    assignment of its free variables."""
+    free_of = {key: tuple(sorted(names))
+               for key, names in _free_sets(q.subformulas(phi)).items()}
+    if free_of[id(phi)]:
+        raise q.FragmentError("a closed sentence is required")
+    evaluate._check_symbols(phi, b)
+    if not b.universe:
+        raise q.EpqError("evaluation needs a non-empty universe")
+    if len(b.universe) ** max(map(len, free_of.values())) > max_work:
+        raise q.LimitExceeded("naive evaluation work estimate", max_work)
+    missing = object()
+
+    def truth(f, env, memo):
+        kind = type(f)
+        if kind is q.Atom:
+            return tuple(env[x] for x in f.args) in b.relations[f.symbol]
+        if kind is q.Equality:
+            return env[f.left] == env[f.right]
+        key = (id(f), tuple(env[v] for v in free_of[id(f)]))
+        verdict = memo.get(key)
+        if verdict is not None:
+            return verdict
+        if kind is q.Not:
+            verdict = not (yield truth(f.child, env, memo))
+        elif kind is q.Exists or kind is q.Forall:
+            previous = env.get(f.var, missing)
+            want_any = kind is q.Exists
+            verdict = not want_any
+            for value in b.universe:
+                env[f.var] = value
+                if (yield truth(f.child, env, memo)) == want_any:
+                    verdict = want_any
+                    break
+            if previous is missing:
+                del env[f.var]
+            else:
+                env[f.var] = previous
+        else:
+            want_any = kind is q.Or
+            verdict = not want_any
+            for c in f.children:
+                if (yield truth(c, env, memo)) == want_any:
+                    verdict = want_any
+                    break
+        memo[key] = verdict
+        return verdict
+
+    return walk(truth(phi, {}, {}))
+
+
+def padded_or_eval_kvar(phi, b, k, *, stats=None, max_rows=10_000_000):
+    """Reference ``eval_kvar``: every ``Or`` pads each disjunct's relation to
+    the ``Or``'s variables and unions them, and a conjunction joins that
+    relation like any other part."""
+    info = q.classify(phi)
+    if info.variables > k:
+        raise q.FragmentError(f"sentence uses {info.variables} variables, more than k={k}")
+    if not info.closed:
+        raise q.FragmentError("a closed sentence is required")
+    evaluate._check_symbols(phi, b)
+    run = evaluate._KvarRun(b, max_rows, _free_sets(q.subformulas(phi)))
+    join, expand, complement = evaluate._join, evaluate._expand, evaluate._complement
+
+    def relation(f):
+        kind = type(f)
+        if kind is q.Atom:
+            distinct, pattern = repetition_pattern(f.args)
+            va = tuple(sorted(distinct))
+            order = tuple(distinct.index(v) for v in va)
+            key = (f.symbol, pattern, order)
+            ra = run.atoms.get(key)
+            if ra is None:
+                rows = project_rows(b.relations[f.symbol], pattern)
+                ra = run.atoms[key] = set(map(evaluate._columns(order), rows))
+        elif kind is q.Equality:
+            va = tuple(sorted({f.left, f.right}))
+            ra = {(u,) * len(va) for u in b.universe}
+        elif kind is q.And:
+            pending = []
+            for c in sorted(f.children, key=lambda c: isinstance(c, (q.Atom, q.Equality))):
+                va, ra = yield relation(c)
+                unmerged = []
+                for vb, rb in pending:
+                    if ra and (set(va) <= set(vb) or set(vb) <= set(va)):
+                        va, ra = join(va, ra, vb, rb, run)
+                    else:
+                        unmerged.append((vb, rb))
+                if not ra:
+                    break
+                pending = unmerged + [(va, ra)]
+            else:
+                va, ra = evaluate._greedy_join(pending, run)
+            if not ra:
+                va = tuple(sorted(run.free[id(f)]))
+        elif kind is q.Or:
+            parts = []
+            for c in f.children:
+                parts.append((yield relation(c)))
+            va = tuple(sorted(set().union(*(set(v) for v, _ in parts))))
+            ra = set()
+            for vc, rc in parts:
+                ra |= expand(vc, rc, va, run)[1]
+        else:
+            va, ra = yield relation(f.child)
+            if kind is q.Not:
+                va, ra = complement(va, ra, run)
+            elif f.var in va:
+                if kind is q.Forall:
+                    va, ra = complement(va, ra, run)
+                idx = va.index(f.var)
+                va = va[:idx] + va[idx + 1:]
+                ra = {row[:idx] + row[idx + 1:] for row in ra}
+                if kind is q.Forall:
+                    va, ra = complement(va, ra, run)
+        run.widest = max(run.widest, len(va))
+        return run.built(va, ra)
+
+    vars_final, rows = walk(relation(phi))
+    if stats is not None:
+        stats.update(max_arity=run.widest, joins=run.joins, rows_max=run.rows_max)
+    assert vars_final == ()
+    return bool(rows)

@@ -301,6 +301,28 @@ def test_limit_flag_and_env(tmp_path, capsys, monkeypatch):
     assert "limit" in err
 
 
+def test_eval_row_and_work_limits(tmp_path, capsys, monkeypatch):
+    # P(x) & P(y) over four elements joins into 16 rows; naive estimates 4 ** 2
+    (tmp_path / "s.epq").write_text("exists x . exists y . (P(x) & P(y))\n")
+    (tmp_path / "b.str").write_text(
+        "signature P/1\nuniverse a b c d\n" + "".join(f"tuple P {x}\n" for x in "abcd"))
+    files = ["--sentence", str(tmp_path / "s.epq"), "--structure", str(tmp_path / "b.str")]
+    for flags, guard in (
+        (["--strategy", "kvar", "--max-rows", "10"], "bounded-variable relation size"),
+        (["--strategy", "naive", "--max-work", "1"], "naive evaluation work estimate"),
+    ):
+        code, out, err = _run(capsys, ["eval", *files, *flags, "--format", "json"])
+        assert code == 2 and "Traceback" not in err
+        assert json.loads(out)["limits-hit"] == [guard]
+    for strategy in ("kvar", "naive"):
+        assert _run(capsys, ["eval", *files, "--strategy", strategy])[0] == 0
+    monkeypatch.setenv("EPQ_MAX_ROWS", "10")
+    monkeypatch.setenv("EPQ_MAX_WORK", "1")
+    for strategy in ("kvar", "naive"):
+        code, _, err = _run(capsys, ["eval", *files, "--strategy", strategy])
+        assert code == 2 and "limit" in err and "Traceback" not in err
+
+
 def test_deep_path_queries_need_no_recursion(tmp_path, capsys):
     # A 1,500-element directed path: its canonical query nests 1,500
     # quantifiers, and its 2-variable form nests 1,500 parenthesised

@@ -1,18 +1,25 @@
 import collections
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 import epquery as q
+from epquery.formulas import _free_sets
 from helpers import (
     E2,
+    FO_SIG,
     UNION_SIG,
     cnf_satisfiable,
     digraph,
+    evaluate,
     flat_eval_dnf_hom,
+    memo_every_node_eval_naive,
+    padded_or_eval_kvar,
     random_ep_formula,
     random_cnf,
+    random_fo_sentence,
     random_structure,
     random_union_sentence,
     sparse_digraph,
@@ -213,6 +220,131 @@ def test_eval_kvar_pads_disjuncts_column_by_column():
         verdicts = [q.eval_naive(phi, b) for b in worlds]
         assert [q.eval_kvar(phi, b, 3) for b in worlds] == verdicts
         assert set(verdicts) == {True, False}
+
+
+def _unsat_cnf_11():
+    # 11 variables and 47 three-literal clauses, as in the benchmark; the
+    # eight sign patterns over v1, v2 and v3 make it unsatisfiable
+    rng = random.Random(127)
+    clauses = [frozenset({a, b, c}) for a in (1, -1) for b in (2, -2) for c in (3, -3)]
+    while len(clauses) < 47:
+        clauses.append(frozenset(v if rng.random() < 0.5 else -v
+                                 for v in rng.sample(range(1, 12), 3)))
+    rng.shuffle(clauses)
+    return q.CnfFormula(11, tuple(clauses))
+
+
+def _reusable_of(phi):
+    free_of = {key: tuple(sorted(names)) for key, names in _free_sets(q.subformulas(phi)).items()}
+    return evaluate._reusable(phi, free_of)
+
+
+def test_eval_naive_caches_only_where_a_lookup_can_hit():
+    # shadowed binders count once per quantifier
+    phi = q.parse_formula("exists x . exists x . P(x)")
+    assert set(_reusable_of(phi)) == {id(phi.child), id(phi.child.child)}
+    # a node that occurs twice is cached even with no quantifier above it
+    g = q.Exists("y", q.Atom("P", ("y",)))
+    assert set(_reusable_of(q.And((g, g)))) == {id(g), id(g.child)}
+    # the unary SAT reduction has all its variables free in the conjunction
+    # and in every clause, so no compound node can be read back (atoms are
+    # decided in place and never cached)
+    phi = q.reduce_sat(_unsat_cnf_11(), "unary").sentence
+    reusable = _reusable_of(phi)
+    assert not [g for g in q.subformulas(phi) if id(g) in reusable and q.children(g)]
+
+
+def test_eval_naive_frames_stay_few_under_shadowing(monkeypatch):
+    # The nests of test_eval_naive_deep_nesting_with_few_live_variables:
+    # without the cache each would need more than 3 ** 40 walker frames.
+    b = digraph(["a", "b", "c"], {("a", "b"), ("b", "c"), ("c", "a")})
+    f = q.Atom("E", ("x", "x"))
+    g = q.Atom("E", ("x", "y"))
+    for _ in range(40):
+        f = q.Exists("x", q.Or((q.Atom("E", ("x", "x")), f)))
+        g = q.Exists("x", q.And((q.Atom("E", ("x", "y")), q.Exists("y", g))))
+    frames = collections.Counter()
+    real = evaluate._truth
+
+    def counted(*args):
+        frames["all"] += 1
+        assert frames["all"] <= 1000
+        return real(*args)
+
+    monkeypatch.setattr(evaluate, "_truth", counted)
+    assert not q.eval_naive(f, b)
+    assert q.eval_naive(q.Exists("y", g), b)
+    assert frames["all"] == 239 + 202
+
+
+def test_naive_and_kvar_match_their_references_on_random_fo(monkeypatch):
+    calls = collections.Counter()
+    for name in ("_filtered", "_expand"):
+        real = getattr(evaluate, name)
+        monkeypatch.setattr(evaluate, name, lambda *a, real=real, name=name: (
+            calls.update([name]), real(*a))[1])
+    rng = random.Random(109)
+    verdicts = collections.Counter()
+    padded = 0
+    for _ in range(400):
+        phi = random_fo_sentence(rng)
+        b = random_structure(rng, FO_SIG, 3, density=0.4)
+        expected = memo_every_node_eval_naive(phi, b)
+        assert q.eval_naive(phi, b) == expected
+        k = q.classify(phi).variables
+        before = calls["_expand"]
+        assert q.eval_kvar(phi, b, k) == expected
+        padded += calls["_expand"] - before
+        assert padded_or_eval_kvar(phi, b, k) == expected
+        verdicts[expected] += 1
+    assert min(verdicts[True], verdicts[False]) >= 100
+    # both kinds of Or occur: filtered through an earlier part, and padded
+    assert calls["_filtered"] >= 200 and padded >= 200
+
+
+def test_naive_and_kvar_decide_sat_reductions_like_their_references():
+    rng = random.Random(113)
+    truths = collections.Counter()
+    for _ in range(12):
+        n = rng.randint(5, 8)
+        cnf = q.CnfFormula(n, tuple(
+            frozenset(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
+            for _ in range(rng.randint(3 * n, 7 * n))
+        ))
+        truth = cnf_satisfiable(cnf)
+        truths[truth] += 1
+        for mode, arity in (("two-symbols", 2), ("single-symbol", 3), ("unary", 2)):
+            inst = q.reduce_sat(cnf, mode, arity)
+            phi, b = inst.sentence, inst.structure
+            k = q.classify(phi).variables
+            assert q.eval_naive(phi, b) == memo_every_node_eval_naive(phi, b) == truth
+            assert q.eval_kvar(phi, b, k) == padded_or_eval_kvar(phi, b, k) == truth
+    assert min(truths.values()) >= 3 and len(truths) == 2
+
+
+# Each clause after the first is filtered through the conjunction's one
+# pending part, counted as one join, as the padded reference counts its join.
+def test_eval_kvar_counters_on_unary_sat_are_pinned():
+    inst = q.reduce_sat(_unsat_cnf_11(), "unary")
+    stats, reference = {}, {}
+    assert not q.eval_kvar(inst.sentence, inst.structure, 11, stats=stats)
+    assert not padded_or_eval_kvar(inst.sentence, inst.structure, 11, stats=reference)
+    assert stats == reference == {"max_arity": 11, "joins": 29, "rows_max": 1792}
+
+
+def test_eval_naive_memory_on_unary_sat_is_bounded():
+    # Caching every node's verdict per assignment kept an entry for each of
+    # the 47 clauses under each of up to 2 ** 11 assignments.
+    inst = q.reduce_sat(_unsat_cnf_11(), "unary")
+    peaks = []
+    for evaluator in (q.eval_naive, memo_every_node_eval_naive):
+        tracemalloc.start()
+        try:
+            assert not evaluator(inst.sentence, inst.structure)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 2 ** 20 < peaks[1]
 
 
 def test_eval_dnf_hom_examples():

@@ -18,6 +18,10 @@ TEXT = "exists x . exists y . (E(x,y) & (exists z . (E(y,z) | x = z)) & (exists 
 PHI = q.parse_formula(TEXT)
 # the Or of atoms stays one union constraint in eval_dnf_hom's search
 UNIONS = q.parse_formula("exists x . exists y . exists z . (E(x,y) & (E(y,z) | E(z,x) | E(z,z)))")
+# the second Or is filtered through the relation of the first in eval_kvar
+COVERED = q.parse_formula("exists x . exists y . ((P(x) | E(x,y)) & (E(y,x) | P(y)))")
+B_P = q.Structure(q.Signature([q.RelationSymbol("P", 1), q.RelationSymbol("E", 2)]),
+                  ("a", "b", "c"), {"P": {("a",)}, "E": {("a", "b"), ("b", "c")}})
 PP = q.parse_formula("exists x . exists y . exists z . (E(x,y) & E(y,z) & x = z)")
 PP_STRUCT = q.structure_of_pp(PP)
 # minor-min-width 3, min-fill 4: treewidth_exact runs the decision search too
@@ -29,6 +33,7 @@ FALLBACK = digraph([f"v{i}" for i in range(7)], {
 CALLS = {
     "eval_naive": lambda: q.eval_naive(PHI, B),
     "eval_kvar": lambda: q.eval_kvar(PHI, B, 3),
+    "eval_kvar_covered_or": lambda: q.eval_kvar(COVERED, B_P, 2),
     "eval_dnf_hom": lambda: q.eval_dnf_hom(PHI, B),
     "eval_dnf_hom_unions": lambda: q.eval_dnf_hom(UNIONS, B),
     "structure_of_pp": lambda: q.structure_of_pp(PP),
