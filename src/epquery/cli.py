@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import (MAX_DISJUNCTS, MAX_EXACT_TW, MAX_NODES, MAX_ROWS, MAX_WORK, EpqError,
                      LimitExceeded)
-from .evaluate import evaluate
+from .evaluate import _STRATEGIES, evaluate
 from .formulas import classify, parse_formula, render
 from .gadgets import (
     gadget_plus,
@@ -239,7 +239,7 @@ def build_parser():
     p.add_argument("--sentence")
     p.add_argument("--structure")
     p.add_argument("--bundle", help="directory holding sentence.epq and structure.str")
-    p.add_argument("--strategy", choices=("naive", "kvar", "dnf-hom", "pp-reduction"), default="naive")
+    p.add_argument("--strategy", choices=_STRATEGIES, default="naive")
     p.add_argument("--k", type=int, default=None, help="variable bound for the kvar strategy")
     _add_common(p, "max_nodes", "max_disjuncts", "max_rows", "max_work")
     p.set_defaults(handler=_cmd_eval)

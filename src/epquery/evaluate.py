@@ -39,8 +39,8 @@ from .formulas import (
     subformulas,
     walk,
 )
-from .homomorphism import SearchStats, _search, hom_equivalent
-from .normalize import _disjuncts, m_normalize
+from .homomorphism import SearchStats, find_homomorphism, hom_equivalent
+from .normalize import _disjuncts, _members
 from .structures import Structure, product, project_rows, repetition_pattern
 
 
@@ -354,14 +354,6 @@ def _greedy_join(parts, run):
     return va, ra
 
 
-def _some_disjunct_maps(disjuncts, b, max_nodes, stats):
-    for psi in disjuncts:
-        struct, unions = _structure_and_unions(psi, b.signature)
-        if _search(struct, unions, b, None, max_nodes, stats) is not None:
-            return True
-    return False
-
-
 def eval_dnf_hom(phi, b, *, max_disjuncts=MAX_DISJUNCTS, max_nodes=MAX_NODES, stats=None):
     """Existential positive evaluation: some disjunct's structure maps into b.
 
@@ -374,14 +366,17 @@ def eval_dnf_hom(phi, b, *, max_disjuncts=MAX_DISJUNCTS, max_nodes=MAX_NODES, st
     """
     _check_symbols(phi, b)
     disjuncts = _disjuncts(phi, max_disjuncts, True)
-    return _some_disjunct_maps(disjuncts, b, max_nodes, stats)
+    searches = (_structure_and_unions(psi, b.signature) for psi in disjuncts)
+    return any(find_homomorphism(struct, b, unions=unions, max_nodes=max_nodes, stats=stats)
+               is not None for struct, unions in searches)
 
 
 def eval_via_pp_turing(phi, b, *, max_disjuncts=MAX_DISJUNCTS, max_nodes=MAX_NODES, stats=None):
-    """Evaluation through the normalized disjunct set, one test per member."""
+    """Evaluation through the normalized disjunct set, one search per member's structure."""
     _check_symbols(phi, b)
-    members = m_normalize(phi, max_disjuncts=max_disjuncts, max_nodes=max_nodes, stats=stats)
-    return _some_disjunct_maps(members, b, max_nodes, stats)
+    members = _members(phi, b.signature, max_disjuncts, max_nodes, stats)
+    return any(find_homomorphism(struct, b, max_nodes=max_nodes, stats=stats) is not None
+               for _, struct in members)
 
 
 def pp_to_ep_instance(psi, phi, b, *, max_disjuncts=MAX_DISJUNCTS, max_nodes=MAX_NODES):
@@ -391,13 +386,9 @@ def pp_to_ep_instance(psi, phi, b, *, max_disjuncts=MAX_DISJUNCTS, max_nodes=MAX
     disjunct set of ``phi``; the returned instance is true exactly when ``b``
     satisfies ``psi``.
     """
-    members = m_normalize(phi, max_disjuncts=max_disjuncts, max_nodes=max_nodes)
+    members = _members(phi, b.signature, max_disjuncts, max_nodes, None)
     psi_struct = structure_of_pp(psi, b.signature)
-    for member in members:
-        member_struct = structure_of_pp(member, b.signature)
-        if hom_equivalent(psi_struct, member_struct, max_nodes=max_nodes):
-            break
-    else:
+    if not any(hom_equivalent(psi_struct, struct, max_nodes=max_nodes) for _, struct in members):
         raise EpqError("the sentence is not a normalized disjunct of the query")
     return Instance(phi, product(psi_struct, b))
 
@@ -413,11 +404,15 @@ def evaluate(phi, b, strategy="naive", *, k=None, stats=None, **limits):
     other kind raises ``EpqError`` before any evaluation.  Each strategy
     takes the ``limits`` it has and ignores the others: ``max_work`` for
     ``naive``, ``max_rows`` for ``kvar``, ``max_disjuncts`` and
-    ``max_nodes`` for ``dnf-hom`` and ``pp-reduction``.
+    ``max_nodes`` for ``dnf-hom`` and ``pp-reduction``.  A limit that no
+    strategy takes raises ``EpqError``, so a misspelled one is not dropped.
     """
     kind = dict if strategy == "kvar" else SearchStats
     if stats is not None and strategy in _STRATEGIES[1:] and not isinstance(stats, kind):
         raise EpqError(f"strategy {strategy!r} keeps its counters in a {kind.__name__}")
+    for name in limits:
+        if name not in ("max_work", "max_rows", "max_disjuncts", "max_nodes"):
+            raise EpqError(f"unknown limit {name!r}; no strategy takes it")
 
     def taking(*names):
         return {name: limits[name] for name in names if name in limits}

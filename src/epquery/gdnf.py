@@ -14,7 +14,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .errors import EpqError, LimitExceeded, ParseError, SignatureMismatch
+from .errors import MAX_TUPLES, EpqError, LimitExceeded, ParseError, SignatureMismatch
 from .structures import Structure, pair_token
 
 
@@ -78,7 +78,7 @@ def gdnf_product(g, h):
     return GdnfRelation(g.arity, universe, tuple(blocks))
 
 
-def gdnf_to_explicit(g, *, max_tuples=1_000_000):
+def gdnf_to_explicit(g, *, max_tuples=MAX_TUPLES):
     """Expand to a set of tuples, guarding against an oversized result."""
     estimate = 0
     for block in g.blocks:
@@ -142,7 +142,7 @@ def gdnf_structure_from(s):
     return GdnfStructure(s.signature, s.universe, relations)
 
 
-def gdnf_structure_to(g, *, max_tuples=1_000_000):
+def gdnf_structure_to(g, *, max_tuples=MAX_TUPLES):
     """Expand a block-form structure back to the explicit representation."""
     relations = {
         name: gdnf_to_explicit(rel, max_tuples=max_tuples) for name, rel in g.relations.items()

@@ -23,12 +23,13 @@ the source tuple's repetition pattern.
   rescan their rows.  Generalized arc consistency runs after every
   assignment.
 - A search may also carry union constraints, each a disjunction of atoms
-  over source elements (``eval_dnf_hom`` makes one from each ``Or`` of
-  atoms).  One is revised by constructive disjunction once the other
-  constraints are settled: a branch is alive while its atom has a support
-  inside the domains, no live branch is a wipe-out, and a variable in every
-  live branch keeps only the values some live branch supports.  Without
-  unions the search is the plain one, node for node.
+  over source elements, passed as ``find_homomorphism``'s ``unions``
+  (``eval_dnf_hom`` makes one from each ``Or`` of atoms).  One is revised
+  by constructive disjunction once the other constraints are settled: a
+  branch is alive while its atom has a support inside the domains, no live
+  branch is a wipe-out, and a variable in every live branch keeps only the
+  values some live branch supports.  Without unions the search is the
+  plain one, node for node.
 - Every narrowing is logged on a trail as (variable, old mask), and the
   search keeps its own stack of (variable, values left, trail length), so
   backtracking undoes the trail instead of copying the domains at each
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MAX_CORE, MAX_NODES, EpqError, LimitExceeded, SignatureMismatch
+from .errors import MAX_CORE, MAX_ISOMORPHIC, MAX_NODES, EpqError, LimitExceeded, SignatureMismatch
 from .structures import (
     RelationSymbol,
     Signature,
@@ -329,22 +330,15 @@ def _propagate(domains, arcs, scans, unions, queue, trail):
     return True
 
 
-def find_homomorphism(source, target, *, fixed=None, max_nodes=MAX_NODES, stats=None):
+def find_homomorphism(source, target, *, fixed=None, unions=(), max_nodes=MAX_NODES, stats=None):
     """Return a deterministic witness homomorphism, or None if there is none.
 
     ``fixed`` pins source elements to target elements before the search.
+    Each of ``unions`` is a sequence of (symbol, arguments over source
+    elements), and the map must send one of them to a target tuple.
     ``max_nodes`` bounds the nodes this call searches, whether or not a
     ``stats`` record shared with other calls adds them to its running total;
     the budget surfaces as :class:`LimitExceeded` rather than a wrong answer.
-    """
-    return _search(source, (), target, fixed, max_nodes, stats)
-
-
-def _search(source, unions, target, fixed, max_nodes, stats):
-    """``find_homomorphism`` whose map must also satisfy the union constraints.
-
-    Each union is a sequence of (symbol, arguments over source elements),
-    and it holds when one of them maps to a target tuple.
     """
     built = _constraints(source, unions, target, fixed)
     if built is None or not _solve(built[1], built[0], {}, max_nodes, stats):
@@ -465,13 +459,11 @@ def _solve(constraints, domains, queue, max_nodes, stats):
 
 def hom_equivalent(a, b, *, max_nodes=MAX_NODES, stats=None):
     """True iff homomorphisms exist in both directions."""
-    forward = find_homomorphism(a, b, max_nodes=max_nodes, stats=stats)
-    if forward is None:
-        return False
-    return find_homomorphism(b, a, max_nodes=max_nodes, stats=stats) is not None
+    return (find_homomorphism(a, b, max_nodes=max_nodes, stats=stats) is not None
+            and find_homomorphism(b, a, max_nodes=max_nodes, stats=stats) is not None)
 
 
-def isomorphic(a, b, *, max_universe=12):
+def isomorphic(a, b, *, max_universe=MAX_ISOMORPHIC):
     """Decide isomorphism as one injective homomorphism search.
 
     Both structures get one fresh binary symbol holding every pair of

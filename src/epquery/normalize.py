@@ -20,6 +20,7 @@ from .formulas import (
     Equality,
     Exists,
     Or,
+    _structure_and_unions,
     classify,
     conj,
     disj,
@@ -102,10 +103,17 @@ def m_normalize(
     Grouping and the filter share one table, so no entailment between two
     disjuncts is decided twice.
     """
+    return [member for member, _ in _members(phi, signature, max_disjuncts, max_nodes, stats)]
+
+
+def _members(phi, signature, max_disjuncts, max_nodes, stats):
+    # m_normalize as (member, structure) pairs, so that callers search the
+    # structures, and the skeletons kept on them, that entailment built.
     disjuncts = to_pp_disjunction(phi, max_disjuncts=max_disjuncts)
     if signature is None:
         signature = formula_signature(phi)
-    structs = [structure_of_pp(d, signature) for d in disjuncts]
+    # the sentence is closed EP, so each disjunct is closed PP
+    structs = [_structure_and_unions(d, signature)[0] for d in disjuncts]
     cache = {}
 
     def entails(i, j):
@@ -119,7 +127,7 @@ def m_normalize(
     for i in range(len(structs)):
         if not any(entails(rep, i) and entails(i, rep) for rep in reps):
             reps.append(i)
-    return [disjuncts[rep] for rep in reps
+    return [(disjuncts[rep], structs[rep]) for rep in reps
             if not any(other != rep and entails(rep, other) for other in reps)]
 
 

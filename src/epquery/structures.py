@@ -257,7 +257,7 @@ def parse_structure(text):
                 raise ParseError("expected a 'universe' line after the signature", lineno)
             if len(parts) == 1:
                 raise ParseError("empty universe", lineno)
-            universe = parts[1:]
+            universe = dict.fromkeys(parts[1:])  # ordered, with constant-time lookups
         elif head == "tuple":
             if len(parts) < 2:
                 raise ParseError("tuple line needs a symbol name", lineno)

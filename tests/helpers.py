@@ -13,7 +13,7 @@ library: they are the earlier, plainer control flow of ``core`` (two),
 ``m_normalize``, ``treewidth_upper``, ``treewidth_exact``,
 ``eval_dnf_hom``, ``formulas._structure_and_unions``,
 ``validate_decomposition``, ``homomorphism._constraints``,
-``homomorphism._propagate``, ``homomorphism._search``, ``eval_naive`` and
+``homomorphism._propagate``, ``find_homomorphism``, ``eval_naive`` and
 ``eval_kvar``, kept to pin their outputs.
 """
 
@@ -725,9 +725,10 @@ def lifo_propagate(domains, arcs, scans, unions, queue, trail):
 
 
 def per_tuple_search(source, unions, target, fixed, *, stats=None):
-    """Reference ``homomorphism._search``: ``per_tuple_constraints``, then
-    ``homomorphism._solve`` with ``lifo_propagate`` in place of the
-    module's propagation.  The witness mapping, or None."""
+    """Reference ``find_homomorphism`` with ``unions``:
+    ``per_tuple_constraints``, then ``homomorphism._solve`` with
+    ``lifo_propagate`` in place of the module's propagation.  The witness
+    mapping, or None."""
     built = per_tuple_constraints(source, unions, target, fixed)
     if built is None:
         return None

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import epquery as q
 from epquery.cli import main
 from helpers import digraph, path_digraph
@@ -323,6 +325,7 @@ def test_eval_row_and_work_limits(tmp_path, capsys, monkeypatch):
         assert code == 2 and "limit" in err and "Traceback" not in err
 
 
+@pytest.mark.time_limit(30)
 def test_deep_path_queries_need_no_recursion(tmp_path, capsys):
     # A 1,500-element directed path: its canonical query nests 1,500
     # quantifiers, and its 2-variable form nests 1,500 parenthesised

@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 import epquery as q
+from epquery import homomorphism
 from epquery.formulas import _free_sets
 from helpers import (
     E2,
@@ -66,6 +67,7 @@ def test_eval_naive_guards():
         q.eval_naive(wide, big, max_work=10 ** 6)
 
 
+@pytest.mark.time_limit(30)
 def test_eval_naive_deep_nesting_with_few_live_variables():
     # 40 nested quantifiers but only one variable alive at a time: the work
     # estimate is tiny and evaluation must stay tiny too
@@ -82,6 +84,7 @@ def test_eval_naive_deep_nesting_with_few_live_variables():
     assert q.eval_naive(g, b, max_work=1000)
 
 
+@pytest.mark.time_limit(30)
 def test_eval_naive_deep_quantifier_nest():
     # 3,000 nested quantifiers, three times the default recursion limit
     f = q.Atom("E", ("x", "x"))
@@ -534,3 +537,38 @@ def test_strategy_dispatch():
         assert q.evaluate(f, loop, strategy)
     with pytest.raises(q.EpqError):
         q.evaluate(f, loop, "magic")
+
+
+def test_eval_via_pp_turing_builds_one_skeleton_per_disjunct(monkeypatch):
+    # Each member is searched through the structure its entailment tests
+    # built, so no skeleton is built past one per flattened disjunct.  The
+    # target has no edge and no P, so every member is searched.
+    phi = q.parse_formula(
+        "exists x1 . exists x2 . exists x3 . ((E(x1,x2) | P(x3))"
+        " & (exists z . (E(x2,z) & E(z,x3)) | E(x3,x1)) & (P(x1) | E(x2,x2)))"
+    )
+    b = q.Structure(EPQ_SIG, ("a", "b"), {"Q": {("a",)}})
+    built = []
+
+    class Counting(homomorphism._Skeleton):
+        __slots__ = ()
+
+        def __init__(self, source):
+            built.append(source)
+            super().__init__(source)
+
+    monkeypatch.setattr(homomorphism, "_Skeleton", Counting)
+    assert not q.eval_via_pp_turing(phi, b)
+    assert len(built) == len({id(s) for s in built}) == len(q.to_pp_disjunction(phi)) == 8
+    assert all(s.signature == EPQ_SIG for s in built)
+
+
+def test_evaluate_rejects_a_limit_no_strategy_takes():
+    loop = digraph(["a"], {("a", "a")})
+    f = q.parse_formula("exists x . E(x,x)")
+    for strategy in ("naive", "kvar", "dnf-hom", "pp-reduction"):
+        with pytest.raises(q.EpqError, match="max_node"):
+            q.evaluate(f, loop, strategy, max_node=0)
+        # every documented limit is accepted by every strategy
+        assert q.evaluate(f, loop, strategy, max_work=10, max_rows=10, max_disjuncts=10,
+                          max_nodes=10)

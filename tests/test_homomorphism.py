@@ -12,7 +12,6 @@ import pytest
 
 import epquery as q
 from epquery import homomorphism
-from epquery.errors import MAX_NODES
 from epquery.structures import repetition_pattern
 from helpers import (
     E2,
@@ -422,10 +421,7 @@ def test_constraints_match_per_tuple_reference():
         else:
             assert _described(new) == _described(ref)
         stats, ref_stats = q.SearchStats(), q.SearchStats()
-        if unions:
-            found = homomorphism._search(a, unions, b, fixed, MAX_NODES, stats)
-        else:
-            found = q.find_homomorphism(a, b, fixed=fixed, stats=stats)
+        found = q.find_homomorphism(a, b, fixed=fixed, unions=unions, stats=stats)
         expected = per_tuple_search(a, unions, b, fixed, stats=ref_stats)
         assert (found and found.mapping) == expected
         assert stats.nodes == ref_stats.nodes
