@@ -58,12 +58,18 @@ _LIMITS = {
 
 
 def _limits(args):
-    """The limit flags the subcommand takes, each filled from its fallback when unset."""
+    """The limit flags the subcommand takes, each filled from its fallback when
+    unset; a negative value is an error that names where it came from."""
     limits = {}
     for name, (env, default) in _LIMITS.items():
         if hasattr(args, name):
             value = getattr(args, name)
-            limits[name] = value if value is not None else _env_int(env, default)
+            given = "--" + name.replace("_", "-")
+            if value is None:
+                value, given = _env_int(env, default), f"environment variable {env}"
+            if value < 0:
+                raise EpqError(f"{given} must not be negative: {value}")
+            limits[name] = value
     return limits
 
 

@@ -22,6 +22,13 @@ the source tuple's repetition pattern.
   arcs than taking the newest first.  Constraints of arity three or more
   rescan their rows.  Generalized arc consistency runs after every
   assignment.
+- Sources that ``_link_shared`` linked (``m_normalize`` links the flattened
+  disjuncts of a sentence) share the substructure of the tuples they all
+  hold.  A target computes that substructure's root fixpoint once, and a
+  wipe-out there refutes every linked source.  A linked search starts its
+  shared variables at that fixpoint and queues only the variables of its
+  other tuples, and those that ``fixed`` narrowed, so the shared part is
+  not propagated again per source.
 - A search may also carry union constraints, each a disjunction of atoms
   over source elements, passed as ``find_homomorphism``'s ``unions``
   (``eval_dnf_hom`` makes one from each ``Or`` of atoms).  One is revised
@@ -49,6 +56,7 @@ returned witness are deterministic.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .errors import MAX_CORE, MAX_ISOMORPHIC, MAX_NODES, EpqError, LimitExceeded, SignatureMismatch
@@ -110,6 +118,9 @@ class _PreparedTarget:
         self.size = len(target.universe)
         self.relations = target.relations
         self.keys = {}
+        # shared skeleton -> its root fixpoint here, None on a wipe-out; weak,
+        # so that a target outliving the linked sources keeps none of them
+        self.roots = weakref.WeakKeyDictionary()
 
     def entry(self, name, pattern):
         key = (name, pattern)
@@ -130,6 +141,19 @@ class _PreparedTarget:
                     fwd[a] |= 1 << b
                     rev[b] |= 1 << a
             found = self.keys[key] = (supports, cols, fwd, rev)
+        return found
+
+    def root(self, shared):
+        """The root fixpoint of a shared skeleton, computed on first use."""
+        found = self.roots.get(shared, False)
+        if found is False:
+            full = (1 << self.size) - 1
+            domains = [full] * len(shared.sindex)
+            arcs, scans = _bind(shared, self, domains)
+            queue = {v: full ^ dom for v, dom in enumerate(domains) if dom != full}
+            if not all(domains) or not _propagate(domains, arcs, scans, {}, queue, []):
+                domains = None
+            found = self.roots[shared] = domains
         return found
 
 
@@ -154,16 +178,23 @@ class _Skeleton:
     tuples of arity three or more), each sorted by variable index.  So the
     constraints come out in one order, whatever the order of the relation
     sets.
+
+    ``link`` is None, or for a source that ``_link_shared`` linked to a
+    substructure: (that substructure's skeleton, per shared variable its
+    index here, the variables here of the tuples outside the substructure).
     """
 
-    __slots__ = ("sindex", "degree", "keys")
+    __slots__ = ("sindex", "degree", "keys", "link", "__weakref__")
 
     def __init__(self, source):
         self.sindex = sindex = {e: i for i, e in enumerate(source.universe)}
+        shared = source.__dict__.get("_shared")
+        loose = set()
         degree = [0] * len(sindex)
         keys = []
         for sym in source.signature:
             by_pattern = {}
+            held = shared.relations[sym.name] if shared is not None else ()
             for t in source.relations[sym.name]:
                 distinct, pattern = repetition_pattern(t)
                 vars = tuple(sindex[x] for x in distinct)
@@ -171,6 +202,8 @@ class _Skeleton:
                 if len(vars) > 1:
                     for v in vars:
                         degree[v] += 1
+                if shared is not None and t not in held:
+                    loose.update(vars)
             for pattern in sorted(by_pattern):
                 tuples = sorted(by_pattern[pattern])
                 cols = tuple(tuple(sorted(set(column))) for column in zip(*tuples))
@@ -180,6 +213,10 @@ class _Skeleton:
                              tuple(tuples) if len(tuples[0]) > 2 else ()))
         self.degree = tuple(degree)
         self.keys = tuple(keys)
+        self.link = None
+        if shared is not None:
+            base = shared.__dict__["_skeleton"]
+            self.link = (base, tuple(sindex[e] for e in base.sindex), frozenset(loose))
 
 
 def _partners(pairs):
@@ -196,6 +233,27 @@ def _skeleton(source):
     if skeleton is None:
         skeleton = source.__dict__["_skeleton"] = _Skeleton(source)
     return skeleton
+
+
+def _link_shared(structures):
+    """Link the structures to the substructure of the tuples all of them hold.
+
+    The substructure's skeleton is built here; each structure's skeleton
+    links to it when it is built.  No link is made for fewer than two
+    structures, or when they share no tuple.
+    """
+    if len(structures) < 2:
+        return
+    first, rest = structures[0], structures[1:]
+    relations = {sym.name: first.relations[sym.name].intersection(
+        *(s.relations[sym.name] for s in rest)) for sym in first.signature}
+    elements = {x for tuples in relations.values() for t in tuples for x in t}
+    if not elements:
+        return
+    shared = Structure(first.signature, [e for e in first.universe if e in elements], relations)
+    shared.__dict__["_skeleton"] = _Skeleton(shared)
+    for s in structures:
+        s.__dict__["_shared"] = shared
 
 
 def _reach(values, table):
@@ -355,7 +413,10 @@ def _constraints(source, unions, target, fixed):
     The source's skeleton is bound to the target with one table entry per
     (symbol, repetition pattern) key.  Each variable starts at the values
     with a support in every column it fills, which is what a first revision
-    against full domains would leave.
+    against full domains would leave.  A linked source starts its shared
+    variables at the shared part's root fixpoint instead, so only the
+    variables of its other tuples, and those that ``fixed`` narrowed, are
+    queued.  The largest fixpoint below the start is the same either way.
     """
     if source.signature != target.signature:
         raise SignatureMismatch("homomorphism search needs similar structures")
@@ -367,7 +428,16 @@ def _constraints(source, unions, target, fixed):
     sindex = skeleton.sindex
     n = len(source.universe)
     full = (1 << prepared.size) - 1
-    domains = [full] * n
+    start = [full] * n
+    loose = ()
+    if skeleton.link is not None:
+        shared, positions, loose = skeleton.link
+        root = prepared.root(shared)
+        if root is None:
+            return None
+        for v, dom in zip(positions, root):
+            start[v] = dom
+    domains = start.copy()
     if fixed:
         for elem, val in fixed.items():
             if elem not in sindex:
@@ -376,22 +446,10 @@ def _constraints(source, unions, target, fixed):
                 raise EpqError(f"fixed value {val!r} is not in the target universe")
             domains[sindex[elem]] &= 1 << tindex[val]
 
-    arcs = [[] for _ in range(n)]  # (partner masks, reverse masks, others)
-    scans = [[] for _ in range(n)]  # (variables, table entry) of arity three or more
-    for name, pattern, cols, forward, backward, wide in skeleton.keys:
-        entry = prepared.entry(name, pattern)
-        _, masks, fwd, rev = entry
-        for mask, vars in zip(masks, cols):
-            for v in vars:
-                domains[v] &= mask
-        for x, ys in forward:
-            arcs[x].append((fwd, rev, ys))
-        for y, xs in backward:
-            arcs[y].append((rev, fwd, xs))
-        for vars in wide:
-            for v in vars:
-                scans[v].append((vars, entry))
-    queue = {v: full ^ dom for v, dom in enumerate(domains) if dom != full}
+    arcs, scans = _bind(skeleton, prepared, domains)
+    # unlinked, every start is full and no variable is loose
+    queue = {v: full ^ dom for v, dom in enumerate(domains)
+             if dom != start[v] or (dom != full and v in loose)}
     union_of = {}  # variable -> {id(branches): branches} of the unions over it
     degree = list(skeleton.degree) if unions else skeleton.degree
     for union in unions:
@@ -408,6 +466,27 @@ def _constraints(source, unions, target, fixed):
     if not all(domains) or not _propagate(domains, arcs, scans, union_of, queue, []):
         return None
     return domains, (arcs, scans, union_of, degree)
+
+
+def _bind(skeleton, prepared, domains):
+    """The arcs and scans of a skeleton bound to a target; ``domains`` are
+    narrowed to the column masks of every variable."""
+    arcs = [[] for _ in domains]  # (partner masks, reverse masks, others)
+    scans = [[] for _ in domains]  # (variables, table entry) of arity three or more
+    for name, pattern, cols, forward, backward, wide in skeleton.keys:
+        entry = prepared.entry(name, pattern)
+        _, masks, fwd, rev = entry
+        for mask, vars in zip(masks, cols):
+            for v in vars:
+                domains[v] &= mask
+        for x, ys in forward:
+            arcs[x].append((fwd, rev, ys))
+        for y, xs in backward:
+            arcs[y].append((rev, fwd, xs))
+        for vars in wide:
+            for v in vars:
+                scans[v].append((vars, entry))
+    return arcs, scans
 
 
 def _solve(constraints, domains, queue, max_nodes, stats):

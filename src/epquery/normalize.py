@@ -28,7 +28,7 @@ from .formulas import (
     structure_of_pp,
     walk,
 )
-from .homomorphism import find_homomorphism
+from .homomorphism import _link_shared, find_homomorphism
 
 
 def pp_entails(psi, psi_prime, *, signature=None, max_nodes=MAX_NODES, stats=None):
@@ -48,7 +48,8 @@ def to_pp_disjunction(phi, *, max_disjuncts=MAX_DISJUNCTS):
     """Flatten an existential positive sentence into primitive positive disjuncts.
 
     The rewrite keeps the set of variable names unchanged and emits disjuncts
-    in left-to-right generation order.
+    in left-to-right generation order.  More than ``max_disjuncts`` of them,
+    during the rewrite or in its result, raise :class:`LimitExceeded`.
     """
     return _disjuncts(phi, max_disjuncts, False)
 
@@ -62,7 +63,11 @@ def _disjuncts(phi, max_disjuncts, keep_unions):
     if not info.closed:
         raise FragmentError("a closed sentence is required")
 
-    return walk(_dnf(phi, max_disjuncts, keep_unions))
+    out = walk(_dnf(phi, max_disjuncts, keep_unions))
+    # the checks inside _dnf see only Ors and Ands; a sentence with neither is one disjunct
+    if len(out) > max_disjuncts:
+        raise LimitExceeded("disjunct count", max_disjuncts)
+    return out
 
 
 def _dnf(f, max_disjuncts, keep_unions):
@@ -93,15 +98,26 @@ def _dnf(f, max_disjuncts, keep_unions):
 def m_normalize(
     phi, *, signature=None, max_disjuncts=MAX_DISJUNCTS, max_nodes=MAX_NODES, stats=None
 ):
-    """One primitive positive representative per extremal equivalence class.
+    """One primitive positive representative per weakest equivalence class.
 
-    Disjuncts are grouped by logical equivalence (homomorphic equivalence of
-    their induced structures); a class survives when none of its members
-    entails a disjunct outside the class.  Every dropped disjunct entails
-    some kept representative, so the disjunction of the result is equivalent
-    to the input, and distinct representatives never entail each other.
-    Grouping and the filter share one table, so no entailment between two
-    disjuncts is decided twice.
+    A disjunct is dropped when it strictly entails another one, and of each
+    class of equivalent disjuncts that is left only the first generated is
+    kept (Sagiv and Yannakakis's minimization of unions of conjunctive
+    queries).  Every dropped disjunct entails some member, so the
+    disjunction of the members is equivalent to the input, and no member
+    entails another.  Members come in generation order.
+
+    One online filter builds the set.  It keeps pairwise non-entailing
+    disjuncts in generation order: a new disjunct that entails a kept one is
+    dropped; otherwise every kept disjunct that entails it is removed and
+    it is appended.  Each disjunct seen so far entails a kept one, as a
+    removed disjunct entails its replacement.  The first disjunct of a
+    weakest class entails no earlier kept one, since that one would be
+    equivalent to it and earlier, and it is never removed, since that needs
+    a later disjunct that it strictly entails.  Any other kept disjunct would
+    strictly entail some disjunct, and so a different kept one, which the
+    filter rules out.  So the filter keeps exactly the first disjunct of
+    each weakest class, and no ordered pair of disjuncts is tested twice.
     """
     return [member for member, _ in _members(phi, signature, max_disjuncts, max_nodes, stats)]
 
@@ -114,21 +130,19 @@ def _members(phi, signature, max_disjuncts, max_nodes, stats):
         signature = formula_signature(phi)
     # the sentence is closed EP, so each disjunct is closed PP
     structs = [_structure_and_unions(d, signature)[0] for d in disjuncts]
-    cache = {}
+    _link_shared(structs)
 
     def entails(i, j):
         # disjunct i entails disjunct j iff struct(j) maps into struct(i)
-        if (i, j) not in cache:
-            found = find_homomorphism(structs[j], structs[i], max_nodes=max_nodes, stats=stats)
-            cache[i, j] = found is not None
-        return cache[i, j]
+        return find_homomorphism(structs[j], structs[i], max_nodes=max_nodes,
+                                 stats=stats) is not None
 
-    reps = []  # the first-generated member of each equivalence class
+    kept = []
     for i in range(len(structs)):
-        if not any(entails(rep, i) and entails(i, rep) for rep in reps):
-            reps.append(i)
-    return [(disjuncts[rep], structs[rep]) for rep in reps
-            if not any(other != rep and entails(rep, other) for other in reps)]
+        if not any(entails(i, k) for k in kept):
+            kept = [k for k in kept if not entails(k, i)]
+            kept.append(i)
+    return [(disjuncts[k], structs[k]) for k in kept]
 
 
 def _little_sentence(symbols):

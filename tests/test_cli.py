@@ -303,6 +303,28 @@ def test_limit_flag_and_env(tmp_path, capsys, monkeypatch):
     assert "limit" in err
 
 
+def test_negative_limit_is_rejected(tmp_path, capsys, monkeypatch):
+    (tmp_path / "s.epq").write_text("exists x . E(x,x)")
+    (tmp_path / "b.str").write_text(LOOP)
+    files = ["--sentence", str(tmp_path / "s.epq"), "--structure", str(tmp_path / "b.str")]
+    code, out, err = _run(capsys, ["eval", *files, "--strategy", "dnf-hom", "--max-nodes", "-5",
+                                   "--format", "json"])
+    assert code == 2 and "Traceback" not in err
+    record = json.loads(out)
+    assert "--max-nodes" in record["error"] and record["limits-hit"] == []
+    monkeypatch.setenv("EPQ_MAX_DISJUNCTS", "-1")
+    code, _, err = _run(capsys, ["eval", *files, "--strategy", "dnf-hom"])
+    assert code == 2 and "EPQ_MAX_DISJUNCTS" in err
+    # a flag is read before its environment fallback, and 0 is a valid limit
+    assert _run(capsys, ["eval", *files, "--strategy", "dnf-hom", "--max-disjuncts", "1"])[0] == 0
+    monkeypatch.delenv("EPQ_MAX_DISJUNCTS")
+    assert _run(capsys, ["eval", *files, "--strategy", "naive", "--max-nodes", "0"])[0] == 0
+    # one disjunct is past a limit of 0 disjuncts
+    code, out, _ = _run(capsys, ["normalize", "--sentence", str(tmp_path / "s.epq"),
+                                 "--max-disjuncts", "0", "--format", "json"])
+    assert code == 2 and json.loads(out)["limits-hit"] == ["disjunct count"]
+
+
 def test_eval_row_and_work_limits(tmp_path, capsys, monkeypatch):
     # P(x) & P(y) over four elements joins into 16 rows; naive estimates 4 ** 2
     (tmp_path / "s.epq").write_text("exists x . exists y . (P(x) & P(y))\n")

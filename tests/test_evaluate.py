@@ -541,8 +541,9 @@ def test_strategy_dispatch():
 
 def test_eval_via_pp_turing_builds_one_skeleton_per_disjunct(monkeypatch):
     # Each member is searched through the structure its entailment tests
-    # built, so no skeleton is built past one per flattened disjunct.  The
-    # target has no edge and no P, so every member is searched.
+    # built, so no skeleton is built past one per flattened disjunct: the
+    # filter searches from each of the five members and from no other
+    # disjunct.  The target has no edge and no P, so every member is searched.
     phi = q.parse_formula(
         "exists x1 . exists x2 . exists x3 . ((E(x1,x2) | P(x3))"
         " & (exists z . (E(x2,z) & E(z,x3)) | E(x3,x1)) & (P(x1) | E(x2,x2)))"
@@ -559,7 +560,8 @@ def test_eval_via_pp_turing_builds_one_skeleton_per_disjunct(monkeypatch):
 
     monkeypatch.setattr(homomorphism, "_Skeleton", Counting)
     assert not q.eval_via_pp_turing(phi, b)
-    assert len(built) == len({id(s) for s in built}) == len(q.to_pp_disjunction(phi)) == 8
+    assert len(q.to_pp_disjunction(phi)) == 8
+    assert len(built) == len({id(s) for s in built}) == 5
     assert all(s.signature == EPQ_SIG for s in built)
 
 

@@ -12,6 +12,7 @@ import pytest
 
 import epquery as q
 from epquery import homomorphism
+from epquery.formulas import _structure_and_unions
 from epquery.structures import repetition_pattern
 from helpers import (
     E2,
@@ -25,6 +26,7 @@ from helpers import (
     per_element_core,
     per_tuple_constraints,
     per_tuple_search,
+    random_ep_formula,
     random_structure,
     restart_core,
     sparse_digraph,
@@ -429,6 +431,61 @@ def test_constraints_match_per_tuple_reference():
         outcomes["unions"] += bool(unions)
         outcomes["fixed"] += bool(fixed)
     assert min(outcomes.values()) >= 30, outcomes
+
+
+EPQ = q.Signature([q.RelationSymbol("E", 2), q.RelationSymbol("P", 1), q.RelationSymbol("Q", 1)])
+
+
+def _with_shared_body(rng):
+    # a random EP sentence whose outer variables also carry 2-4 atoms that
+    # every flattened disjunct holds
+    phi = random_ep_formula(rng, EPQ, max_vars=4, max_depth=5)
+    outer = []
+    while type(phi) is q.Exists:
+        outer.append(phi.var)
+        phi = phi.child
+    body = [q.Atom(sym.name, tuple(rng.choice(outer) for _ in range(sym.arity)))
+            for sym in (rng.choice(EPQ.symbols) for _ in range(rng.randint(2, 4)))]
+    phi = q.conj(body + [phi])
+    for v in reversed(outer):
+        phi = q.Exists(v, phi)
+    return phi
+
+
+def test_linked_constraints_match_unlinked():
+    # Starting the shared variables at the shared part's root fixpoint in
+    # the target leaves the same root domains, or the same wipe-out, and
+    # the same witness after the same number of nodes.
+    rng, pick = random.Random(97), random.Random(5)
+    linked_pairs = 0
+    for _ in range(40):
+        disjuncts = q.to_pp_disjunction(_with_shared_body(rng))
+        linked = [_structure_and_unions(d, EPQ)[0] for d in disjuncts]
+        plain = [_structure_and_unions(d, EPQ)[0] for d in disjuncts]
+        homomorphism._link_shared(linked)
+        for i, j in itertools.product(range(len(disjuncts)), repeat=2):
+            # also with each source element pinned, which may narrow a shared variable
+            pins = [{x: pick.choice(plain[i].universe)} for x in plain[j].universe]
+            for fixed in [None] + pins:
+                got = homomorphism._constraints(linked[j], (), linked[i], fixed)
+                want = homomorphism._constraints(plain[j], (), plain[i], fixed)
+                assert (got and got[0]) == (want and want[0])
+            stats, reference = q.SearchStats(), q.SearchStats()
+            found = q.find_homomorphism(linked[j], linked[i], stats=stats)
+            expected = q.find_homomorphism(plain[j], plain[i], stats=reference)
+            assert (found and found.mapping) == (expected and expected.mapping)
+            assert stats.nodes == reference.nodes
+            linked_pairs += homomorphism._skeleton(linked[j]).link is not None
+    assert linked_pairs > 500
+
+
+def test_shared_roots_do_not_outlive_their_sources():
+    # The target keeps a shared part's root fixpoint only while the linked
+    # sources are alive.
+    phi = q.parse_formula("exists x . exists y . (E(x,y) & (P(x) | Q(y)))")
+    b = q.Structure(EPQ, ("a", "b"), {"E": {("a", "b")}})
+    assert not q.eval_via_pp_turing(phi, b)
+    assert len(homomorphism._prepared(b).roots) == 0
 
 
 def test_constraints_order_does_not_depend_on_the_hash_seed():

@@ -62,6 +62,15 @@ def test_to_pp_disjunction_keeps_variable_names():
             assert q.variable_names(disjunct) <= q.variable_names(f)
 
 
+def test_disjunct_limit_counts_a_lone_disjunct():
+    psi = q.parse_formula("exists x . E(x,x)")
+    assert q.to_pp_disjunction(psi, max_disjuncts=1) == [psi]
+    with pytest.raises(q.LimitExceeded):
+        q.to_pp_disjunction(psi, max_disjuncts=0)
+    with pytest.raises(q.LimitExceeded):
+        q.m_normalize(psi, max_disjuncts=0)
+
+
 def test_to_pp_disjunction_rejects_non_ep():
     with pytest.raises(q.FragmentError):
         q.to_pp_disjunction(q.parse_formula("not P(x)"))
@@ -203,13 +212,16 @@ def test_compile_unary_random_properties():
         assert _equivalent_on(PQ_SIG, (1, 2), f, out)
 
 
+EIGHT = q.parse_formula(
+    "exists x1 . exists x2 . exists x3 . ((E(x1,x2) | P(x3))"
+    " & (exists z . (E(x2,z) & E(z,x3)) | E(x3,x1)) & (P(x1) | E(x2,x2)))"
+)
+
+
 def test_m_normalize_builds_one_skeleton_per_disjunct(monkeypatch):
-    # Each flattened disjunct's structure is the source of several entailment
-    # tests; its constraint skeleton is built at its first and kept on it.
-    phi = q.parse_formula(
-        "exists x1 . exists x2 . exists x3 . ((E(x1,x2) | P(x3))"
-        " & (exists z . (E(x2,z) & E(z,x3)) | E(x3,x1)) & (P(x1) | E(x2,x2)))"
-    )
+    # A skeleton is built for a flattened disjunct only when the filter
+    # searches from it, and kept on it.  The eight disjuncts share no atom,
+    # so no skeleton is built for a shared part.
     built = []
 
     class Counting(homomorphism._Skeleton):
@@ -220,5 +232,36 @@ def test_m_normalize_builds_one_skeleton_per_disjunct(monkeypatch):
             super().__init__(source)
 
     monkeypatch.setattr(homomorphism, "_Skeleton", Counting)
-    assert len(q.m_normalize(phi)) == 5
-    assert len(built) == len({id(s) for s in built}) == len(q.to_pp_disjunction(phi)) == 8
+    assert len(q.m_normalize(EIGHT)) == 5
+    assert len(q.to_pp_disjunction(EIGHT)) == 8
+    assert len(built) == len({id(s) for s in built}) == 5
+    # two disjuncts sharing E(x,y): first the shared part's, then one each
+    built.clear()
+    assert len(q.m_normalize(q.parse_formula("exists x . exists y . (E(x,y) & (P(x) | Q(y)))"))) == 2
+    assert len(built) == len({id(s) for s in built}) == 3
+    assert [sum(map(len, s.relations.values())) for s in built] == [1, 2, 2]
+
+
+@pytest.mark.time_limit(30)
+def test_m_normalize_search_counts(monkeypatch):
+    # The filter tests a new disjunct against each kept one, and each kept
+    # one against it only when it entails none of them.  Every disjunct of
+    # H_n is kept, so H_n takes N(N - 1) searches for its N = n^n disjuncts.
+    searches = []
+    real = normalize.find_homomorphism
+
+    def counted(source, target, **kwargs):
+        searches.append((id(source), id(target)))
+        return real(source, target, **kwargs)
+
+    monkeypatch.setattr(normalize, "find_homomorphism", counted)
+    for phi, count, nodes in ((q.hamiltonian_sentence(2), 12, 133),
+                              (q.hamiltonian_sentence(3), 702, 12_402),
+                              (EIGHT, 26, 3)):
+        stats = q.SearchStats()
+        searches.clear()
+        members = q.m_normalize(phi, stats=stats)
+        assert (len(searches), stats.nodes) == (count, nodes)
+        if phi is not EIGHT:
+            # no two Hamiltonian disjuncts entail each other, so all are kept
+            assert members == q.to_pp_disjunction(phi)
