@@ -20,6 +20,7 @@ the induced structure.  Entailment, which needs homomorphisms, is in
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, fields
 
 from .errors import EpqError, FragmentError, ParseError
@@ -31,8 +32,11 @@ class _Node:
 
     The generated dataclass methods recurse into subformulas and so fail on
     deep nests.  These compare and hash the flat preorder key below, and
-    ``repr`` runs on ``walk``; its text is the dataclass one.
+    ``repr`` runs on ``walk``; its text is the dataclass one.  Nodes keep
+    their fields in slots, without an instance ``__dict__``.
     """
+
+    __slots__ = ()
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -82,7 +86,7 @@ def _node_repr(g):
     return f"{type(g).__qualname__}({', '.join(parts)})"
 
 
-_node = dataclass(frozen=True, eq=False, repr=False)
+_node = dataclass(frozen=True, eq=False, repr=False, slots=True)
 
 
 @_node
@@ -320,7 +324,8 @@ def _tokenize(text):
                 continue
             m = _IDENT_RE.match(line, col)
             if m:
-                tokens.append(("ident", m.group(), lineno, col + 1))
+                # interned, so that every occurrence of a name shares one string
+                tokens.append(("ident", sys.intern(m.group()), lineno, col + 1))
                 col = m.end()
                 continue
             if ch in _PUNCT:

@@ -29,6 +29,23 @@ the source tuple's repetition pattern.
   shared variables at that fixpoint and queues only the variables of its
   other tuples, and those that ``fixed`` narrowed, so the shared part is
   not propagated again per source.
+- A root that many searches share is also probed, as in singleton arc
+  consistency (Debruyne and Bessiere, IJCAI 1997): a probe gives one
+  variable one value and propagates, and a value whose probe wipes out
+  leaves the root for good, which is then propagated back to a fixpoint.
+  This is sound.  Propagation drops only values that no homomorphism uses,
+  so after a wipe-out no homomorphism sends that variable to that value.
+  Every search started from the root works inside it, as ``fixed`` and
+  ``core``'s masks only narrow it.  So verdicts are those of the plain
+  search, and only node counts move; each probe counts as a node.  Two
+  roots are probed: a shared part's root in a target that is itself linked
+  to that part (``m_normalize``'s tests between the disjuncts of one
+  sentence), and in ``core`` each element's own variable in ``a -> a``.
+  In both the target holds the probed part, so the identity is one of its
+  maps.  Where it is nearly the only one, as for a core with few
+  automorphisms (Hell and Nesetril, "The core of a graph", 1992), probing
+  leaves little else, and the searches refute at their root.  A target
+  that is not linked is never probed: no other search shares its root.
 - A search may also carry union constraints, each a disjunction of atoms
   over source elements, passed as ``find_homomorphism``'s ``unions``
   (``eval_dnf_hom`` makes one from each ``Or`` of atoms).  One is revised
@@ -44,10 +61,10 @@ the source tuple's repetition pattern.
 
 One builder, ``_constraints``, binds a source skeleton to a target and
 propagates to the root fixpoint; one solver, ``_solve``, propagates from
-given domains and backtracks.  ``core`` builds the constraints of
-``a -> a`` once and tests each removal by masking one value out of the root
-domains.  ``isomorphic`` is one search between copies that also relate
-every two distinct elements.
+given domains and backtracks; ``_probe`` runs the singleton tests.
+``core`` builds the constraints of ``a -> a`` once and tests each removal
+by masking one value out of the root domains.  ``isomorphic`` is one
+search between copies that also relate every two distinct elements.
 
 Variables are picked by fewest remaining candidates with a degree
 tie-break, values in target universe order, so both the verdict and the
@@ -107,10 +124,11 @@ class _PreparedTarget:
     """The target-side tables of the search, built once per target structure.
 
     Per (symbol, repetition pattern) key: the projected supports as index
-    tuples, one mask per column of the values that have a support there, and
-    for binary keys the partner masks ``fwd[a]`` (second values seen with
-    ``a``) and ``rev[b]`` (first values seen with ``b``).  Keys are filled in
-    on first use and shared by every source tuple with that key.
+    tuples (kept for arity three and up only, which ``_supported`` rescans),
+    one mask per column of the values that have a support there, and for
+    binary keys the partner masks ``fwd[a]`` (second values seen with ``a``)
+    and ``rev[b]`` (first values seen with ``b``).  Keys are filled in on
+    first use and shared by every source tuple with that key.
     """
 
     def __init__(self, target):
@@ -118,9 +136,10 @@ class _PreparedTarget:
         self.size = len(target.universe)
         self.relations = target.relations
         self.keys = {}
-        # shared skeleton -> its root fixpoint here, None on a wipe-out; weak,
-        # so that a target outliving the linked sources keeps none of them
-        self.roots = weakref.WeakKeyDictionary()
+        # shared skeleton -> its root here, None on a wipe-out; made on first
+        # use, and weak, so that a target outliving the linked sources keeps
+        # none of them
+        self.roots = None
 
     def entry(self, name, pattern):
         key = (name, pattern)
@@ -140,11 +159,22 @@ class _PreparedTarget:
                 for a, b in supports:
                     fwd[a] |= 1 << b
                     rev[b] |= 1 << a
-            found = self.keys[key] = (supports, cols, fwd, rev)
+            found = self.keys[key] = (supports if len(cols) > 2 else None, cols, fwd, rev)
         return found
 
-    def root(self, shared):
-        """The root fixpoint of a shared skeleton, computed on first use."""
+    def root(self, shared, tick=None):
+        """The root fixpoint of a shared skeleton, computed on first use.
+
+        With ``tick`` (the target is one of the structures linked to that
+        skeleton, so many searches start here), every value of every
+        variable is probed until none drops, ``tick`` counting each probe.
+        No homomorphism of the shared part uses a dropped value, and each
+        linked source contains the shared part, so no homomorphism of a
+        linked source uses it either: every search from this root decides
+        as it would from the plain one.
+        """
+        if self.roots is None:
+            self.roots = weakref.WeakKeyDictionary()
         found = self.roots.get(shared, False)
         if found is False:
             full = (1 << self.size) - 1
@@ -153,6 +183,8 @@ class _PreparedTarget:
             queue = {v: full ^ dom for v, dom in enumerate(domains) if dom != full}
             if not all(domains) or not _propagate(domains, arcs, scans, {}, queue, []):
                 domains = None
+            if domains is not None and tick is not None:
+                domains = _probe_all(domains, arcs, scans, tick)
             found = self.roots[shared] = domains
         return found
 
@@ -388,6 +420,69 @@ def _propagate(domains, arcs, scans, unions, queue, trail):
     return True
 
 
+def _probe(domains, arcs, scans, x, values, tick):
+    """Singleton tests of ``values`` for ``x`` at a root fixpoint.
+
+    Returns the first of ``values``, in target order, that survives: giving
+    ``x`` that one value and propagating leaves no domain empty.  A value
+    that wipes out is used by no homomorphism, so it leaves ``domains`` for
+    good and they are propagated back to a fixpoint.  0 when no value
+    survives, None when that propagation wipes out.  ``tick`` counts each
+    test; a value that is all ``x`` has left survives untested.
+    """
+    while values:
+        bit = values & -values
+        values ^= bit
+        dom = domains[x]
+        if not dom & bit:
+            continue  # dropped by an earlier test
+        if dom == bit:
+            return bit
+        tick()
+        trail = [(x, dom)]
+        domains[x] = bit
+        alive = _propagate(domains, arcs, scans, {}, {x: dom ^ bit}, trail)
+        for v, old in reversed(trail):
+            domains[v] = old
+        if alive:
+            return bit
+        domains[x] = dom ^ bit
+        if not _propagate(domains, arcs, scans, {}, {x: bit}, []):
+            return None
+    return 0
+
+
+def _probe_all(domains, arcs, scans, tick):
+    """Probe every value of every variable of a root fixpoint, in passes
+    until a pass drops nothing (Debruyne and Bessiere's singleton arc
+    consistency); None on a wipe-out."""
+    while True:
+        before = domains.copy()
+        for x in range(len(domains)):
+            rest = domains[x]
+            while rest:
+                kept = _probe(domains, arcs, scans, x, rest, tick)
+                if kept is None:
+                    return None
+                rest &= ~(kept | (kept - 1))  # the values after the survivor
+        if domains == before:
+            return domains
+
+
+def _ticker(stats, max_nodes):
+    """A function that counts one node, a search node or a probe, on
+    ``stats`` per call and raises :class:`LimitExceeded` past ``max_nodes``."""
+    counters = stats if stats is not None else SearchStats()
+    budget = counters.nodes + max_nodes
+
+    def tick():
+        counters.nodes += 1
+        if counters.nodes > budget:
+            raise LimitExceeded("homomorphism search nodes", max_nodes)
+
+    return tick
+
+
 def find_homomorphism(source, target, *, fixed=None, unions=(), max_nodes=MAX_NODES, stats=None):
     """Return a deterministic witness homomorphism, or None if there is none.
 
@@ -398,7 +493,7 @@ def find_homomorphism(source, target, *, fixed=None, unions=(), max_nodes=MAX_NO
     ``stats`` record shared with other calls adds them to its running total;
     the budget surfaces as :class:`LimitExceeded` rather than a wrong answer.
     """
-    built = _constraints(source, unions, target, fixed)
+    built = _constraints(source, unions, target, fixed, max_nodes, stats)
     if built is None or not _solve(built[1], built[0], {}, max_nodes, stats):
         return None
     # every domain is a singleton, and the fixpoint makes the map a homomorphism
@@ -406,7 +501,7 @@ def find_homomorphism(source, target, *, fixed=None, unions=(), max_nodes=MAX_NO
     return Homomorphism(source, target, mapping)
 
 
-def _constraints(source, unions, target, fixed):
+def _constraints(source, unions, target, fixed, max_nodes=MAX_NODES, stats=None):
     """The root fixpoint domains of a search and its constraints (arcs,
     scans, unions, degree), or None when that fixpoint wipes out.
 
@@ -416,7 +511,11 @@ def _constraints(source, unions, target, fixed):
     against full domains would leave.  A linked source starts its shared
     variables at the shared part's root fixpoint instead, so only the
     variables of its other tuples, and those that ``fixed`` narrowed, are
-    queued.  The largest fixpoint below the start is the same either way.
+    queued.  The largest fixpoint below that start is the plain root, or,
+    when the target is linked to the same part and so its shared root was
+    probed, lies inside the plain root and keeps every value that some
+    homomorphism uses (see ``_PreparedTarget.root``).  ``max_nodes`` and
+    ``stats`` bound and count those probes, as ``_solve`` does its nodes.
     """
     if source.signature != target.signature:
         raise SignatureMismatch("homomorphism search needs similar structures")
@@ -432,7 +531,11 @@ def _constraints(source, unions, target, fixed):
     loose = ()
     if skeleton.link is not None:
         shared, positions, loose = skeleton.link
-        root = prepared.root(shared)
+        # probed only in a target linked to the same part, whose root the
+        # searches from every other linked source share
+        linked = target.__dict__.get("_shared")
+        probed = linked is not None and linked.__dict__["_skeleton"] is shared
+        root = prepared.root(shared, _ticker(stats, max_nodes) if probed else None)
         if root is None:
             return None
         for v, dom in zip(positions, root):
@@ -496,8 +599,7 @@ def _solve(constraints, domains, queue, max_nodes, stats):
     trail = []
     if not _propagate(domains, arcs, scans, union_of, queue, trail):
         return False
-    counters = stats if stats is not None else SearchStats()
-    budget = counters.nodes + max_nodes
+    tick = _ticker(stats, max_nodes)
 
     def choose():
         # fewest values, then highest degree, then lowest index; None when all are fixed
@@ -525,9 +627,7 @@ def _solve(constraints, domains, queue, max_nodes, stats):
                 continue
             bit = rest & -rest
             frame[1] = rest ^ bit
-            counters.nodes += 1
-            if counters.nodes > budget:
-                raise LimitExceeded("homomorphism search nodes", max_nodes)
+            tick()
             entered = domains[var]
             trail.append((var, entered))
             domains[var] = bit
@@ -593,23 +693,36 @@ def core(a, *, max_universe=MAX_CORE, max_nodes=MAX_NODES, stats=None):
     no homomorphism into C - {e}, no later C' within C has one into
     C' - {e}, or C -> C' -> C' - {e} would map C into C - {e}.
 
-    The constraints of ``a -> a`` are built once.  With C = a[keep] the part
+    The constraints of ``a -> a`` are built once, on a private twin of
+    ``a`` so that its tables die with the call.  With C = a[keep] the part
     left so far, the test for ``e`` masks the root domains to keep - {e},
     propagates the values masked out and solves: a map a -> C - {e} exists
     exactly when C -> C - {e} does, since ``a`` maps onto C and C lies in
-    ``a``.  A masked-out value never supports another, so this is the search
-    into a freshly built C - {e}, node for node until the first removal.
-    The last element is never removed, as every domain would be empty.
-    Each test may search ``max_nodes`` nodes.
+    ``a``.  A masked-out value never supports another, so unprobed, this is
+    the search into a freshly built C - {e}.  The last element is never
+    removed, as every domain would be empty.
+
+    Before the test, ``e``'s own variable is probed in the root with each
+    value of keep - {e} in turn, up to the first that survives (see
+    ``_probe``).  A value whose probe wipes out is used by no map a -> a,
+    so by no map a -> C - {e} either, and it leaves the root for good.  If
+    no value survives, every map a -> C - {e} would send ``e`` to a dropped
+    value, so there is none: ``e`` stays and nothing is searched.  A probe
+    counts as a node; each test's probes may number ``max_nodes``, and so
+    may its search nodes.
     """
     if len(a.universe) > max_universe:
         raise LimitExceeded("core universe size", max_universe)
     if not a.universe:
         return a
-    root, constraints = _constraints(a, (), a, None)  # never None: the identity map
+    twin = Structure(a.signature, a.universe, a.relations)
+    root, constraints = _constraints(twin, (), twin, None)  # never None: the identity map
+    arcs, scans = constraints[:2]
     full = keep = (1 << len(a.universe)) - 1
     for i in range(len(a.universe)):
         mask = keep ^ (1 << i)
+        if not _probe(root, arcs, scans, i, root[i] & mask, _ticker(stats, max_nodes)):
+            continue  # no map a -> a sends e to another kept element: e stays
         domains = [dom & mask for dom in root]
         queue = {v: lost for v, dom in enumerate(root) if (lost := dom & ~mask)}
         if all(domains) and _solve(constraints, domains, queue, max_nodes, stats):

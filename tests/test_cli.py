@@ -209,6 +209,22 @@ def test_core_node_limit_and_count(tmp_path, capsys):
     assert record["stats"]["nodes-searched"] == stats.nodes > 0
 
 
+def test_probes_count_against_the_node_limit(tmp_path, capsys):
+    # Probes settle m_normalize(H_2) and the core of an H_2 member without
+    # searching; each probe counts as a node, so --max-nodes 0 stops them.
+    phi = q.hamiltonian_sentence(2)
+    (tmp_path / "h2.epq").write_text(q.render(phi))
+    member = q.structure_of_pp(q.m_normalize(phi)[0], q.formula_signature(phi))
+    (tmp_path / "member.str").write_text(q.format_structure(member))
+    for argv in (["normalize", "--sentence", str(tmp_path / "h2.epq")],
+                 ["core", "--structure", str(tmp_path / "member.str")]):
+        code, out, _ = _run(capsys, argv + ["--format", "json", "--max-nodes", "0"])
+        assert code == 2
+        assert json.loads(out)["limits-hit"] == ["homomorphism search nodes"]
+        code, out, _ = _run(capsys, argv + ["--format", "json"])
+        assert code == 0 and json.loads(out)["stats"]["nodes-searched"] > 0
+
+
 def test_canonical_query_and_pp_structure_round_trip(tmp_path, capsys):
     (tmp_path / "loop.str").write_text(LOOP)
     code, out, _ = _run(capsys, ["canonical-query", "--structure", str(tmp_path / "loop.str")])

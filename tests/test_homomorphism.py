@@ -488,6 +488,112 @@ def test_shared_roots_do_not_outlive_their_sources():
     assert len(homomorphism._prepared(b).roots) == 0
 
 
+def _homomorphisms(a, b):
+    # every map from a to b that preserves every tuple
+    for values in itertools.product(b.universe, repeat=len(a.universe)):
+        h = dict(zip(a.universe, values))
+        if all(tuple(h[x] for x in t) in b.relations[name]
+               for name, tuples in a.relations.items() for t in tuples):
+            yield h
+
+
+def _check_probed(probed, source, target):
+    # The probed root lies inside the plain arc-consistent root of ``source``
+    # into ``target`` and keeps every value some homomorphism uses; True
+    # when it dropped a value.
+    plain = homomorphism._constraints(q.Structure(source.signature, source.universe,
+                                                  source.relations), (), target, None)
+    homs = list(_homomorphisms(source, target))
+    if probed is None:
+        assert not homs
+        return plain is not None
+    tindex = {e: i for i, e in enumerate(target.universe)}
+    assert plain is not None and all(p & ~r == 0 for p, r in zip(probed, plain[0]))
+    for h in homs:
+        assert all(probed[v] >> tindex[h[x]] & 1 for v, x in enumerate(source.universe))
+    return probed != plain[0]
+
+
+# the triangle is shared; its vertices have supports in the 2-cycle of the
+# first disjunct, but probing them there wipes out
+TRIANGLE_OR_TWO_CYCLE = q.parse_formula(
+    "exists x . exists y . exists z . (E(x,y) & E(y,x) & E(y,z) & E(z,y) & E(x,z) & E(z,x)"
+    " & ((exists u . exists v . (E(u,v) & E(v,u))) | P(x)))"
+)
+
+
+def test_shared_root_probes_drop_only_values_no_homomorphism_uses():
+    # Every map of the shared part into each linked disjunct is enumerated.
+    rng = random.Random(41)
+    pruned = families = 0
+    for phi in [TRIANGLE_OR_TWO_CYCLE] + [_with_shared_body(rng) for _ in range(60)]:
+        disjuncts = q.to_pp_disjunction(phi)
+        linked = [_structure_and_unions(d, EPQ)[0] for d in disjuncts]
+        plain = [_structure_and_unions(d, EPQ)[0] for d in disjuncts]
+        homomorphism._link_shared(linked)
+        shared = linked[0].__dict__.get("_shared")
+        if shared is None:
+            continue
+        families += 1
+        for i, j in itertools.product(range(len(disjuncts)), repeat=2):
+            found = q.find_homomorphism(linked[j], linked[i])
+            assert (found is None) == (q.find_homomorphism(plain[j], plain[i]) is None)
+        for i, target in enumerate(linked):
+            probed = homomorphism._prepared(target).roots[shared.__dict__["_skeleton"]]
+            pruned += _check_probed(probed, shared, plain[i])
+    assert families > 20 and pruned > 0
+
+
+def test_core_probes_drop_only_values_no_homomorphism_uses(monkeypatch):
+    # After each of core's probes, its a -> a root keeps every value of
+    # every endomorphism; core's result is that of fresh searches.
+    real = homomorphism._probe
+    current = {}
+    pruned = 0
+
+    def checked(domains, arcs, scans, x, values, tick):
+        nonlocal pruned
+        kept = real(domains, arcs, scans, x, values, tick)
+        pruned += _check_probed(domains, current["a"], current["a"])
+        return kept
+
+    monkeypatch.setattr(homomorphism, "_probe", checked)
+    rng = random.Random(43)
+    # the 2-cycle first, so that probing a triangle vertex tries it first
+    instances = [digraph(["u", "v", "x", "y", "z"], {("u", "v"), ("v", "u"), ("x", "y"), ("y", "x"),
+                                                     ("y", "z"), ("z", "y"), ("x", "z"), ("z", "x")})]
+    for _ in range(60):
+        sig = rng.choice([E2, MIXED])
+        density = rng.choice([0.05, 0.1, 0.2]) if sig is MIXED else rng.choice([0.1, 0.2, 0.3])
+        instances.append(random_structure(rng, sig, 5, density=density))
+    for a in instances:
+        current["a"] = a
+        assert q.core(a) == per_element_core(a)
+    assert pruned > 0
+
+
+def test_no_probe_into_an_unlinked_target(monkeypatch):
+    # Only a target linked to the shared part is probed: a search from a
+    # linked source into any other target starts at the plain root.
+    probes = []
+    real = homomorphism._probe
+
+    def counted(*args):
+        probes.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(homomorphism, "_probe", counted)
+    disjuncts = q.to_pp_disjunction(TRIANGLE_OR_TWO_CYCLE)
+    linked = [_structure_and_unions(d, EPQ)[0] for d in disjuncts]
+    homomorphism._link_shared(linked)
+    target = _structure_and_unions(disjuncts[0], EPQ)[0]
+    stats = q.SearchStats()
+    assert q.find_homomorphism(linked[1], target, stats=stats) is None
+    assert probes == [] and stats.nodes == 0
+    assert q.find_homomorphism(linked[1], linked[0]) is None
+    assert probes
+
+
 def test_constraints_order_does_not_depend_on_the_hash_seed():
     # The per-variable partner lists and scans come out in one order under
     # every hash seed, although the relations are sets.
@@ -581,9 +687,10 @@ def test_core_matches_restarted_scan():
 
 
 def test_core_masking_matches_per_element_searches_on_h3():
-    # No element of a member of m_normalize(H_3) can go, so every masked
-    # removal test searches exactly the nodes of a search into the freshly
-    # built substructure.
+    # No element of a member of m_normalize(H_3) can go.  Searches into the
+    # freshly built substructures take 12,312 nodes.  Probing each element's
+    # own variable in the shared a -> a root settles every masked test: 67
+    # probes, which count as nodes, and no search node.
     phi = q.hamiltonian_sentence(3)
     signature = q.formula_signature(phi)
     members = q.m_normalize(phi)
@@ -593,7 +700,7 @@ def test_core_masking_matches_per_element_searches_on_h3():
         a = q.structure_of_pp(member, signature)
         assert q.core(a, max_universe=len(a.universe), stats=masked) is a
         assert per_element_core(a, stats=rebuilt) is a
-    assert masked.nodes == rebuilt.nodes > 0
+    assert (masked.nodes, rebuilt.nodes) == (67, 12_312)
 
 
 def test_core_makes_one_pass(monkeypatch):
