@@ -20,7 +20,6 @@ the induced structure.  Entailment, which needs homomorphisms, is in
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass, fields
 
 from .errors import EpqError, FragmentError, ParseError
@@ -324,8 +323,7 @@ def _tokenize(text):
                 continue
             m = _IDENT_RE.match(line, col)
             if m:
-                # interned, so that every occurrence of a name shares one string
-                tokens.append(("ident", sys.intern(m.group()), lineno, col + 1))
+                tokens.append(("ident", m.group(), lineno, col + 1))
                 col = m.end()
                 continue
             if ch in _PUNCT:

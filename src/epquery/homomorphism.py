@@ -37,15 +37,18 @@ the source tuple's repetition pattern.
   so after a wipe-out no homomorphism sends that variable to that value.
   Every search started from the root works inside it, as ``fixed`` and
   ``core``'s masks only narrow it.  So verdicts are those of the plain
-  search, and only node counts move; each probe counts as a node.  Two
-  roots are probed: a shared part's root in a target that is itself linked
-  to that part (``m_normalize``'s tests between the disjuncts of one
-  sentence), and in ``core`` each element's own variable in ``a -> a``.
-  In both the target holds the probed part, so the identity is one of its
+  search, and only node counts move; each probe counts as a node of the
+  call that makes it.  Two roots are probed.  In ``core``, before each
+  removal test, the element's own variable in ``a -> a``.  And a shared
+  part's root in a target that is itself linked to that part
+  (``m_normalize``'s tests between the disjuncts of one sentence), once a
+  search from that root has had to branch: the probes are paid only where
+  the plain root was seen not to refute alone, and only for the searches
+  that come after, so a root that serves one search is never probed.  In
+  both the target holds the probed part, so the identity is one of its
   maps.  Where it is nearly the only one, as for a core with few
   automorphisms (Hell and Nesetril, "The core of a graph", 1992), probing
-  leaves little else, and the searches refute at their root.  A target
-  that is not linked is never probed: no other search shares its root.
+  leaves little else, and the searches refute at their root.
 - A search may also carry union constraints, each a disjunction of atoms
   over source elements, passed as ``find_homomorphism``'s ``unions``
   (``eval_dnf_hom`` makes one from each ``Or`` of atoms).  One is revised
@@ -73,6 +76,7 @@ returned witness are deterministic.
 
 from __future__ import annotations
 
+import types
 import weakref
 from dataclasses import dataclass
 
@@ -120,6 +124,9 @@ def verify_homomorphism(h):
     return True
 
 
+_NO_ROOTS = types.MappingProxyType({})  # the roots of a target that has none yet
+
+
 class _PreparedTarget:
     """The target-side tables of the search, built once per target structure.
 
@@ -136,10 +143,9 @@ class _PreparedTarget:
         self.size = len(target.universe)
         self.relations = target.relations
         self.keys = {}
-        # shared skeleton -> its root here, None on a wipe-out; made on first
-        # use, and weak, so that a target outliving the linked sources keeps
-        # none of them
-        self.roots = None
+        # shared skeleton -> its _SharedRoot here; weak, so that a target
+        # outliving the linked sources keeps none of them, and made on first use
+        self.roots = _NO_ROOTS
 
     def entry(self, name, pattern):
         key = (name, pattern)
@@ -162,31 +168,54 @@ class _PreparedTarget:
             found = self.keys[key] = (supports if len(cols) > 2 else None, cols, fwd, rev)
         return found
 
-    def root(self, shared, tick=None):
-        """The root fixpoint of a shared skeleton, computed on first use.
+    def root(self, shared, budget=None):
+        """The root fixpoint of a shared skeleton here, None on a wipe-out;
+        computed on first use.
 
-        With ``tick`` (the target is one of the structures linked to that
-        skeleton, so many searches start here), every value of every
-        variable is probed until none drops, ``tick`` counting each probe.
-        No homomorphism of the shared part uses a dropped value, and each
-        linked source contains the shared part, so no homomorphism of a
-        linked source uses it either: every search from this root decides
-        as it would from the plain one.
+        ``budget`` is given only when the target is itself one of the
+        structures linked to that skeleton, so that the searches from the
+        other linked sources all start here.  The first calls leave the
+        root as it is and watch it (``budget.root``): a search from it that
+        has to branch marks it.  The next call then probes every value of
+        every variable until none drops, each probe counting on its
+        ``budget``.  No homomorphism of the shared part uses a dropped
+        value, and each linked source contains the shared part, so no
+        homomorphism of a linked source uses it either: every search from
+        this root decides as it would from the plain one.  Each probe that
+        drops a value leaves a fixpoint, so probes cut short by the budget
+        leave a sound root, which the next call probes further.
         """
-        if self.roots is None:
+        if self.roots is _NO_ROOTS:
             self.roots = weakref.WeakKeyDictionary()
-        found = self.roots.get(shared, False)
-        if found is False:
+        found = self.roots.get(shared)
+        if found is None:
             full = (1 << self.size) - 1
             domains = [full] * len(shared.sindex)
             arcs, scans = _bind(shared, self, domains)
             queue = {v: full ^ dom for v, dom in enumerate(domains) if dom != full}
             if not all(domains) or not _propagate(domains, arcs, scans, {}, queue, []):
                 domains = None
-            if domains is not None and tick is not None:
-                domains = _probe_all(domains, arcs, scans, tick)
-            found = self.roots[shared] = domains
-        return found
+            found = self.roots[shared] = _SharedRoot(domains)
+        if budget is not None and found.domains is not None and not found.probed:
+            if found.branched:
+                arcs, scans = _bind(shared, self, [0] * len(shared.sindex))
+                found.domains = _probe_all(found.domains, arcs, scans, budget.tick)
+                found.probed = True
+            else:
+                budget.root = found
+        return found.domains
+
+
+class _SharedRoot:
+    """A shared skeleton's root fixpoint in one target: its ``domains``, None
+    on a wipe-out; whether a search from it has ``branched``; and whether it
+    has been ``probed`` since."""
+
+    __slots__ = ("domains", "branched", "probed")
+
+    def __init__(self, domains):
+        self.domains = domains
+        self.branched = self.probed = False
 
 
 def _prepared(target):
@@ -469,18 +498,27 @@ def _probe_all(domains, arcs, scans, tick):
             return domains
 
 
-def _ticker(stats, max_nodes):
-    """A function that counts one node, a search node or a probe, on
-    ``stats`` per call and raises :class:`LimitExceeded` past ``max_nodes``."""
-    counters = stats if stats is not None else SearchStats()
-    budget = counters.nodes + max_nodes
+class _Budget:
+    """The nodes of one call, search nodes and probes alike, counted on a
+    ``SearchStats`` record; more than ``max_nodes`` of them raise
+    :class:`LimitExceeded`.
 
-    def tick():
-        counters.nodes += 1
-        if counters.nodes > budget:
-            raise LimitExceeded("homomorphism search nodes", max_nodes)
+    ``root`` is the unprobed shared root this call starts from, when it
+    watches one (see ``_PreparedTarget.root``).
+    """
 
-    return tick
+    __slots__ = ("counters", "start", "max_nodes", "root")
+
+    def __init__(self, stats, max_nodes):
+        self.counters = stats if stats is not None else SearchStats()
+        self.start = self.counters.nodes
+        self.max_nodes = max_nodes
+        self.root = None
+
+    def tick(self):
+        self.counters.nodes += 1
+        if self.counters.nodes - self.start > self.max_nodes:
+            raise LimitExceeded("homomorphism search nodes", self.max_nodes)
 
 
 def find_homomorphism(source, target, *, fixed=None, unions=(), max_nodes=MAX_NODES, stats=None):
@@ -489,33 +527,39 @@ def find_homomorphism(source, target, *, fixed=None, unions=(), max_nodes=MAX_NO
     ``fixed`` pins source elements to target elements before the search.
     Each of ``unions`` is a sequence of (symbol, arguments over source
     elements), and the map must send one of them to a target tuple.
-    ``max_nodes`` bounds the nodes this call searches, whether or not a
-    ``stats`` record shared with other calls adds them to its running total;
-    the budget surfaces as :class:`LimitExceeded` rather than a wrong answer.
+    ``max_nodes`` bounds the nodes this call counts, search nodes and
+    probes together, whether or not a ``stats`` record shared with other
+    calls adds them to its running total; the budget surfaces as
+    :class:`LimitExceeded` rather than a wrong answer.
     """
-    built = _constraints(source, unions, target, fixed, max_nodes, stats)
-    if built is None or not _solve(built[1], built[0], {}, max_nodes, stats):
+    budget = _Budget(stats, max_nodes)
+    built = _constraints(source, unions, target, fixed, budget)
+    found = built is not None and _solve(built[1], built[0], {}, max_nodes, stats, budget)
+    if budget.root is not None and budget.counters.nodes != budget.start:
+        budget.root.branched = True  # the watched root did not refute alone
+    if not found:
         return None
     # every domain is a singleton, and the fixpoint makes the map a homomorphism
     mapping = {x: target.universe[dom.bit_length() - 1] for x, dom in zip(source.universe, built[0])}
     return Homomorphism(source, target, mapping)
 
 
-def _constraints(source, unions, target, fixed, max_nodes=MAX_NODES, stats=None):
+def _constraints(source, unions, target, fixed, budget=None):
     """The root fixpoint domains of a search and its constraints (arcs,
     scans, unions, degree), or None when that fixpoint wipes out.
 
     The source's skeleton is bound to the target with one table entry per
     (symbol, repetition pattern) key.  Each variable starts at the values
     with a support in every column it fills, which is what a first revision
-    against full domains would leave.  A linked source starts its shared
-    variables at the shared part's root fixpoint instead, so only the
-    variables of its other tuples, and those that ``fixed`` narrowed, are
-    queued.  The largest fixpoint below that start is the plain root, or,
-    when the target is linked to the same part and so its shared root was
-    probed, lies inside the plain root and keeps every value that some
-    homomorphism uses (see ``_PreparedTarget.root``).  ``max_nodes`` and
-    ``stats`` bound and count those probes, as ``_solve`` does its nodes.
+    against full domains would leave; an empty one refutes at once.  A
+    linked source then starts its shared variables at the shared part's
+    root fixpoint, so only the variables of its other tuples, and those
+    that the column masks or ``fixed`` narrowed further, are queued.  The
+    largest fixpoint below that start is the plain root, or, when the
+    target is linked to the same part and its shared root was probed, lies
+    inside the plain root and keeps every value that some homomorphism uses
+    (see ``_PreparedTarget.root``).  ``budget``, the call's (by default a
+    fresh one), counts those probes and watches that root.
     """
     if source.signature != target.signature:
         raise SignatureMismatch("homomorphism search needs similar structures")
@@ -525,31 +569,35 @@ def _constraints(source, unions, target, fixed, max_nodes=MAX_NODES, stats=None)
     prepared = _prepared(target)
     tindex = prepared.tindex
     sindex = skeleton.sindex
+    for elem, val in (fixed or {}).items():
+        if elem not in sindex:
+            raise EpqError(f"fixed element {elem!r} is not in the source universe")
+        if val not in tindex:
+            raise EpqError(f"fixed value {val!r} is not in the target universe")
     n = len(source.universe)
     full = (1 << prepared.size) - 1
+    domains = [full] * n
+    arcs, scans = _bind(skeleton, prepared, domains)
+    if not all(domains):
+        return None
     start = [full] * n
     loose = ()
     if skeleton.link is not None:
         shared, positions, loose = skeleton.link
-        # probed only in a target linked to the same part, whose root the
-        # searches from every other linked source share
         linked = target.__dict__.get("_shared")
-        probed = linked is not None and linked.__dict__["_skeleton"] is shared
-        root = prepared.root(shared, _ticker(stats, max_nodes) if probed else None)
+        if linked is None or linked.__dict__["_skeleton"] is not shared:
+            budget = None  # no other linked search starts at this root
+        elif budget is None:
+            budget = _Budget(None, MAX_NODES)
+        root = prepared.root(shared, budget)
         if root is None:
             return None
         for v, dom in zip(positions, root):
             start[v] = dom
-    domains = start.copy()
-    if fixed:
-        for elem, val in fixed.items():
-            if elem not in sindex:
-                raise EpqError(f"fixed element {elem!r} is not in the source universe")
-            if val not in tindex:
-                raise EpqError(f"fixed value {val!r} is not in the target universe")
-            domains[sindex[elem]] &= 1 << tindex[val]
+            domains[v] &= dom
+    for elem, val in (fixed or {}).items():
+        domains[sindex[elem]] &= 1 << tindex[val]
 
-    arcs, scans = _bind(skeleton, prepared, domains)
     # unlinked, every start is full and no variable is loose
     queue = {v: full ^ dom for v, dom in enumerate(domains)
              if dom != start[v] or (dom != full and v in loose)}
@@ -592,14 +640,16 @@ def _bind(skeleton, prepared, domains):
     return arcs, scans
 
 
-def _solve(constraints, domains, queue, max_nodes, stats):
+def _solve(constraints, domains, queue, max_nodes, stats, budget=None):
     """From domains that are a fixpoint but for the values ``queue`` lists as
-    lost, propagate and backtrack; True when they end as a solution's singletons."""
+    lost, propagate and backtrack; True when they end as a solution's
+    singletons.  Each node counts on ``budget``, the one its caller's
+    probes counted on, or else on a fresh one of ``max_nodes`` on ``stats``."""
     arcs, scans, union_of, degree = constraints
     trail = []
     if not _propagate(domains, arcs, scans, union_of, queue, trail):
         return False
-    tick = _ticker(stats, max_nodes)
+    tick = (budget or _Budget(stats, max_nodes)).tick
 
     def choose():
         # fewest values, then highest degree, then lowest index; None when all are fixed
@@ -708,8 +758,10 @@ def core(a, *, max_universe=MAX_CORE, max_nodes=MAX_NODES, stats=None):
     so by no map a -> C - {e} either, and it leaves the root for good.  If
     no value survives, every map a -> C - {e} would send ``e`` to a dropped
     value, so there is none: ``e`` stays and nothing is searched.  A probe
-    counts as a node; each test's probes may number ``max_nodes``, and so
-    may its search nodes.
+    counts as a node.  Each test's search may count ``max_nodes`` nodes,
+    as a search into a freshly built C - {e} may, and its probes as many:
+    a probe that survives is not a step of the search, which starts again
+    from the masked root.
     """
     if len(a.universe) > max_universe:
         raise LimitExceeded("core universe size", max_universe)
@@ -721,7 +773,7 @@ def core(a, *, max_universe=MAX_CORE, max_nodes=MAX_NODES, stats=None):
     full = keep = (1 << len(a.universe)) - 1
     for i in range(len(a.universe)):
         mask = keep ^ (1 << i)
-        if not _probe(root, arcs, scans, i, root[i] & mask, _ticker(stats, max_nodes)):
+        if not _probe(root, arcs, scans, i, root[i] & mask, _Budget(stats, max_nodes).tick):
             continue  # no map a -> a sends e to another kept element: e stays
         domains = [dom & mask for dom in root]
         queue = {v: lost for v, dom in enumerate(root) if (lost := dom & ~mask)}

@@ -210,8 +210,8 @@ def test_core_node_limit_and_count(tmp_path, capsys):
 
 
 def test_probes_count_against_the_node_limit(tmp_path, capsys):
-    # Probes settle m_normalize(H_2) and the core of an H_2 member without
-    # searching; each probe counts as a node, so --max-nodes 0 stops them.
+    # Probes settle the core of an H_2 member without searching, and most of
+    # m_normalize(H_2); each probe counts as a node, so --max-nodes 0 stops them.
     phi = q.hamiltonian_sentence(2)
     (tmp_path / "h2.epq").write_text(q.render(phi))
     member = q.structure_of_pp(q.m_normalize(phi)[0], q.formula_signature(phi))

@@ -535,12 +535,19 @@ def test_shared_root_probes_drop_only_values_no_homomorphism_uses():
         if shared is None:
             continue
         families += 1
-        for i, j in itertools.product(range(len(disjuncts)), repeat=2):
+        skeleton = shared.__dict__["_skeleton"]
+        pairs = list(itertools.product(range(len(disjuncts)), repeat=2))
+        for i, _ in pairs:
+            # as if a search from each root had branched, so the next one probes it
+            homomorphism._prepared(linked[i]).root(skeleton)
+            homomorphism._prepared(linked[i]).roots[skeleton].branched = True
+        for i, j in pairs:
             found = q.find_homomorphism(linked[j], linked[i])
             assert (found is None) == (q.find_homomorphism(plain[j], plain[i]) is None)
         for i, target in enumerate(linked):
-            probed = homomorphism._prepared(target).roots[shared.__dict__["_skeleton"]]
-            pruned += _check_probed(probed, shared, plain[i])
+            root = homomorphism._prepared(target).roots[skeleton]
+            assert root.probed  # at the latest by the search from linked[i] itself
+            pruned += _check_probed(root.domains, shared, plain[i])
     assert families > 20 and pruned > 0
 
 
@@ -572,9 +579,8 @@ def test_core_probes_drop_only_values_no_homomorphism_uses(monkeypatch):
     assert pruned > 0
 
 
-def test_no_probe_into_an_unlinked_target(monkeypatch):
-    # Only a target linked to the shared part is probed: a search from a
-    # linked source into any other target starts at the plain root.
+def _counting_probes(monkeypatch):
+    # the variables of every singleton probe made from now on
     probes = []
     real = homomorphism._probe
 
@@ -583,15 +589,46 @@ def test_no_probe_into_an_unlinked_target(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(homomorphism, "_probe", counted)
+    return probes
+
+
+def test_shared_root_is_probed_only_after_a_search_from_it_branched(monkeypatch):
+    # A linked target's shared root is watched, and probed only once a
+    # search from it has had to branch; a search into any other target
+    # starts at the plain root, however often it runs.
+    probes = _counting_probes(monkeypatch)
     disjuncts = q.to_pp_disjunction(TRIANGLE_OR_TWO_CYCLE)
     linked = [_structure_and_unions(d, EPQ)[0] for d in disjuncts]
     homomorphism._link_shared(linked)
-    target = _structure_and_unions(disjuncts[0], EPQ)[0]
+    unlinked = _structure_and_unions(disjuncts[1], EPQ)[0]
+    for _ in range(3):
+        stats = q.SearchStats()
+        assert q.find_homomorphism(linked[0], unlinked, stats=stats) is not None
+        assert stats.nodes > 0
+    assert probes == []
+    assert q.find_homomorphism(linked[0], linked[1]) is not None
+    (record,) = homomorphism._prepared(linked[1]).roots.values()
+    assert probes == [] and record.branched and not record.probed
+    assert q.find_homomorphism(linked[0], linked[1]) is not None
+    assert probes and record.probed
+
+
+def test_two_disjuncts_on_a_large_shared_body_make_no_probe(monkeypatch):
+    # Each search between the two disjuncts refutes on the empty column mask
+    # of its own atom, before its shared root is asked for, and a root that
+    # serves a single search is never probed.
+    probes = _counting_probes(monkeypatch)
+    names = [f"x{i}" for i in range(8)]
+    body = " & ".join(f"E({x},{y})" for x in names for y in names if x != y)
+    phi = q.parse_formula(" . ".join(f"exists {x}" for x in names)
+                          + f" . ({body} & (P(x1) | Q(x1)))")
     stats = q.SearchStats()
-    assert q.find_homomorphism(linked[1], target, stats=stats) is None
+    assert len(q.m_normalize(phi, stats=stats)) == 2
     assert probes == [] and stats.nodes == 0
-    assert q.find_homomorphism(linked[1], linked[0]) is None
-    assert probes
+    linked = [_structure_and_unions(d, EPQ)[0] for d in q.to_pp_disjunction(phi)]
+    homomorphism._link_shared(linked)
+    assert q.find_homomorphism(linked[0], linked[1]) is None
+    assert len(homomorphism._prepared(linked[1]).roots) == 0
 
 
 def test_constraints_order_does_not_depend_on_the_hash_seed():
