@@ -19,7 +19,7 @@ from pathlib import Path
 from .errors import (MAX_DISJUNCTS, MAX_EXACT_TW, MAX_NODES, MAX_ROWS, MAX_WORK, EpqError,
                      LimitExceeded)
 from .evaluate import _STRATEGIES, evaluate
-from .formulas import classify, parse_formula, render
+from .formulas import canonical_query, classify, parse_formula, render, structure_of_pp
 from .gadgets import (
     gadget_plus,
     gadget_star,
@@ -34,7 +34,6 @@ from .homomorphism import SearchStats, core, find_homomorphism
 from .normalize import compile_unary, m_normalize
 from .structures import format_structure, parse_structure
 from .treewidth import format_decomposition, treewidth_exact, treewidth_upper
-from .formulas import canonical_query, structure_of_pp
 
 
 def _env_int(name, default):

@@ -405,7 +405,8 @@ def evaluate(phi, b, strategy="naive", *, k=None, stats=None, **limits):
     takes the ``limits`` it has and ignores the others: ``max_work`` for
     ``naive``, ``max_rows`` for ``kvar``, ``max_disjuncts`` and
     ``max_nodes`` for ``dnf-hom`` and ``pp-reduction``.  A limit that no
-    strategy takes raises ``EpqError``, so a misspelled one is not dropped.
+    strategy takes raises ``EpqError``, so a misspelled one is not dropped,
+    and so does a ``k`` for any strategy but ``kvar``, the one it bounds.
     """
     kind = dict if strategy == "kvar" else SearchStats
     if stats is not None and strategy in _STRATEGIES[1:] and not isinstance(stats, kind):
@@ -413,6 +414,8 @@ def evaluate(phi, b, strategy="naive", *, k=None, stats=None, **limits):
     for name in limits:
         if name not in ("max_work", "max_rows", "max_disjuncts", "max_nodes"):
             raise EpqError(f"unknown limit {name!r}; no strategy takes it")
+    if k is not None and strategy != "kvar":
+        raise EpqError(f"k bounds the kvar strategy only, not {strategy!r}")
 
     def taking(*names):
         return {name: limits[name] for name in names if name in limits}

@@ -23,32 +23,31 @@ the source tuple's repetition pattern.
   rescan their rows.  Generalized arc consistency runs after every
   assignment.
 - Sources that ``_link_shared`` linked (``m_normalize`` links the flattened
-  disjuncts of a sentence) share the substructure of the tuples they all
-  hold.  A target computes that substructure's root fixpoint once, and a
-  wipe-out there refutes every linked source.  A linked search starts its
-  shared variables at that fixpoint and queues only the variables of its
-  other tuples, and those that ``fixed`` narrowed, so the shared part is
-  not propagated again per source.
-- A root that many searches share is also probed, as in singleton arc
-  consistency (Debruyne and Bessiere, IJCAI 1997): a probe gives one
-  variable one value and propagates, and a value whose probe wipes out
-  leaves the root for good, which is then propagated back to a fixpoint.
-  This is sound.  Propagation drops only values that no homomorphism uses,
-  so after a wipe-out no homomorphism sends that variable to that value.
-  Every search started from the root works inside it, as ``fixed`` and
+  disjuncts of a sentence when there are three or more) share the
+  substructure of the tuples they all hold.  A target computes that
+  substructure's root fixpoint once, and a wipe-out there refutes every
+  linked source.  A linked search starts its shared variables at that
+  fixpoint and queues only the variables of its other tuples, and those
+  that ``fixed`` narrowed, so the shared part is not propagated again per
+  source.
+- Two roots are also probed, as in singleton arc consistency (Debruyne and
+  Bessiere, IJCAI 1997): a probe gives one variable one value and
+  propagates, and a value whose probe wipes out leaves the root for good,
+  which is then propagated back to a fixpoint.  This is sound.
+  Propagation drops only values that no homomorphism uses, so after a
+  wipe-out no homomorphism sends that variable to that value.  Every
+  search started from the root works inside it, as ``fixed`` and
   ``core``'s masks only narrow it.  So verdicts are those of the plain
   search, and only node counts move; each probe counts as a node of the
-  call that makes it.  Two roots are probed.  In ``core``, before each
-  removal test, the element's own variable in ``a -> a``.  And a shared
-  part's root in a target that is itself linked to that part
-  (``m_normalize``'s tests between the disjuncts of one sentence), once a
-  search from that root has had to branch: the probes are paid only where
-  the plain root was seen not to refute alone, and only for the searches
-  that come after, so a root that serves one search is never probed.  In
-  both the target holds the probed part, so the identity is one of its
-  maps.  Where it is nearly the only one, as for a core with few
-  automorphisms (Hell and Nesetril, "The core of a graph", 1992), probing
-  leaves little else, and the searches refute at their root.
+  call that makes it.  In ``core``, before each removal test, the
+  element's own variable in ``a -> a``.  And a shared part's root in a
+  target that is itself linked to that part (``m_normalize``'s tests
+  between the disjuncts of one sentence), on its first use: every other
+  linked source is searched from it.  In both the target holds the probed
+  part, so the identity is one of its maps.  Where it is nearly the only
+  one, as for a core with few automorphisms (Hell and Nesetril, "The core
+  of a graph", 1992), probing leaves little else, and the searches refute
+  at their root.
 - A search may also carry union constraints, each a disjunction of atoms
   over source elements, passed as ``find_homomorphism``'s ``unions``
   (``eval_dnf_hom`` makes one from each ``Or`` of atoms).  One is revised
@@ -143,8 +142,8 @@ class _PreparedTarget:
         self.size = len(target.universe)
         self.relations = target.relations
         self.keys = {}
-        # shared skeleton -> its _SharedRoot here; weak, so that a target
-        # outliving the linked sources keeps none of them, and made on first use
+        # shared skeleton -> its root domains here (see ``_shared_root``); weak,
+        # so that a target outliving the linked sources keeps none of them
         self.roots = _NO_ROOTS
 
     def entry(self, name, pattern):
@@ -167,55 +166,6 @@ class _PreparedTarget:
                     rev[b] |= 1 << a
             found = self.keys[key] = (supports if len(cols) > 2 else None, cols, fwd, rev)
         return found
-
-    def root(self, shared, budget=None):
-        """The root fixpoint of a shared skeleton here, None on a wipe-out;
-        computed on first use.
-
-        ``budget`` is given only when the target is itself one of the
-        structures linked to that skeleton, so that the searches from the
-        other linked sources all start here.  The first calls leave the
-        root as it is and watch it (``budget.root``): a search from it that
-        has to branch marks it.  The next call then probes every value of
-        every variable until none drops, each probe counting on its
-        ``budget``.  No homomorphism of the shared part uses a dropped
-        value, and each linked source contains the shared part, so no
-        homomorphism of a linked source uses it either: every search from
-        this root decides as it would from the plain one.  Each probe that
-        drops a value leaves a fixpoint, so probes cut short by the budget
-        leave a sound root, which the next call probes further.
-        """
-        if self.roots is _NO_ROOTS:
-            self.roots = weakref.WeakKeyDictionary()
-        found = self.roots.get(shared)
-        if found is None:
-            full = (1 << self.size) - 1
-            domains = [full] * len(shared.sindex)
-            arcs, scans = _bind(shared, self, domains)
-            queue = {v: full ^ dom for v, dom in enumerate(domains) if dom != full}
-            if not all(domains) or not _propagate(domains, arcs, scans, {}, queue, []):
-                domains = None
-            found = self.roots[shared] = _SharedRoot(domains)
-        if budget is not None and found.domains is not None and not found.probed:
-            if found.branched:
-                arcs, scans = _bind(shared, self, [0] * len(shared.sindex))
-                found.domains = _probe_all(found.domains, arcs, scans, budget.tick)
-                found.probed = True
-            else:
-                budget.root = found
-        return found.domains
-
-
-class _SharedRoot:
-    """A shared skeleton's root fixpoint in one target: its ``domains``, None
-    on a wipe-out; whether a search from it has ``branched``; and whether it
-    has been ``probed`` since."""
-
-    __slots__ = ("domains", "branched", "probed")
-
-    def __init__(self, domains):
-        self.domains = domains
-        self.branched = self.probed = False
 
 
 def _prepared(target):
@@ -241,8 +191,8 @@ class _Skeleton:
     sets.
 
     ``link`` is None, or for a source that ``_link_shared`` linked to a
-    substructure: (that substructure's skeleton, per shared variable its
-    index here, the variables here of the tuples outside the substructure).
+    substructure: (that substructure, per shared variable its index here,
+    the variables here of the tuples outside the substructure).
     """
 
     __slots__ = ("sindex", "degree", "keys", "link", "__weakref__")
@@ -276,8 +226,8 @@ class _Skeleton:
         self.keys = tuple(keys)
         self.link = None
         if shared is not None:
-            base = shared.__dict__["_skeleton"]
-            self.link = (base, tuple(sindex[e] for e in base.sindex), frozenset(loose))
+            base = _skeleton(shared)
+            self.link = (shared, tuple(sindex[e] for e in base.sindex), frozenset(loose))
 
 
 def _partners(pairs):
@@ -299,11 +249,11 @@ def _skeleton(source):
 def _link_shared(structures):
     """Link the structures to the substructure of the tuples all of them hold.
 
-    The substructure's skeleton is built here; each structure's skeleton
-    links to it when it is built.  No link is made for fewer than two
-    structures, or when they share no tuple.
+    Each structure's skeleton links to it when it is built.  No link is
+    made for fewer than three structures, where each target's root would
+    serve a single search, or when they share no tuple.
     """
-    if len(structures) < 2:
+    if len(structures) < 3:
         return
     first, rest = structures[0], structures[1:]
     relations = {sym.name: first.relations[sym.name].intersection(
@@ -312,9 +262,35 @@ def _link_shared(structures):
     if not elements:
         return
     shared = Structure(first.signature, [e for e in first.universe if e in elements], relations)
-    shared.__dict__["_skeleton"] = _Skeleton(shared)
     for s in structures:
         s.__dict__["_shared"] = shared
+
+
+def _shared_root(shared, target, budget):
+    """The root fixpoint of a linked substructure in a target, None on a
+    wipe-out; computed on first use and kept in the target's ``roots``,
+    keyed by the substructure's skeleton, as structures are unhashable.
+
+    A target that is itself linked to ``shared`` serves as the target of
+    every other linked source, so there the root is probed on first use:
+    every value of every variable, until none drops, each probe counting on
+    ``budget``.  No homomorphism of the shared part uses a dropped value,
+    and each linked source contains the shared part, so no homomorphism of
+    a linked source uses it either: every search from this root decides as
+    it would from the plain one.  Any other target keeps the plain root.
+    """
+    prepared = _prepared(target)
+    key = _skeleton(shared)
+    if key in prepared.roots:
+        return prepared.roots[key]
+    built = _constraints(shared, (), target, None, None)
+    root = None if built is None else built[0]
+    if root is not None and target.__dict__.get("_shared") is shared:
+        root = _probe_all(root, *built[1][:2], budget.tick)
+    if prepared.roots is _NO_ROOTS:
+        prepared.roots = weakref.WeakKeyDictionary()
+    prepared.roots[key] = root
+    return root
 
 
 def _reach(values, table):
@@ -501,19 +477,14 @@ def _probe_all(domains, arcs, scans, tick):
 class _Budget:
     """The nodes of one call, search nodes and probes alike, counted on a
     ``SearchStats`` record; more than ``max_nodes`` of them raise
-    :class:`LimitExceeded`.
+    :class:`LimitExceeded`."""
 
-    ``root`` is the unprobed shared root this call starts from, when it
-    watches one (see ``_PreparedTarget.root``).
-    """
-
-    __slots__ = ("counters", "start", "max_nodes", "root")
+    __slots__ = ("counters", "start", "max_nodes")
 
     def __init__(self, stats, max_nodes):
         self.counters = stats if stats is not None else SearchStats()
         self.start = self.counters.nodes
         self.max_nodes = max_nodes
-        self.root = None
 
     def tick(self):
         self.counters.nodes += 1
@@ -534,17 +505,14 @@ def find_homomorphism(source, target, *, fixed=None, unions=(), max_nodes=MAX_NO
     """
     budget = _Budget(stats, max_nodes)
     built = _constraints(source, unions, target, fixed, budget)
-    found = built is not None and _solve(built[1], built[0], {}, max_nodes, stats, budget)
-    if budget.root is not None and budget.counters.nodes != budget.start:
-        budget.root.branched = True  # the watched root did not refute alone
-    if not found:
+    if built is None or not _solve(built[1], built[0], {}, budget):
         return None
     # every domain is a singleton, and the fixpoint makes the map a homomorphism
     mapping = {x: target.universe[dom.bit_length() - 1] for x, dom in zip(source.universe, built[0])}
     return Homomorphism(source, target, mapping)
 
 
-def _constraints(source, unions, target, fixed, budget=None):
+def _constraints(source, unions, target, fixed, budget):
     """The root fixpoint domains of a search and its constraints (arcs,
     scans, unions, degree), or None when that fixpoint wipes out.
 
@@ -553,13 +521,14 @@ def _constraints(source, unions, target, fixed, budget=None):
     with a support in every column it fills, which is what a first revision
     against full domains would leave; an empty one refutes at once.  A
     linked source then starts its shared variables at the shared part's
-    root fixpoint, so only the variables of its other tuples, and those
-    that the column masks or ``fixed`` narrowed further, are queued.  The
-    largest fixpoint below that start is the plain root, or, when the
-    target is linked to the same part and its shared root was probed, lies
-    inside the plain root and keeps every value that some homomorphism uses
-    (see ``_PreparedTarget.root``).  ``budget``, the call's (by default a
-    fresh one), counts those probes and watches that root.
+    root in the target (``_shared_root``), so only the variables of its
+    other tuples, and those that the column masks or ``fixed`` narrowed
+    further, are queued.  The largest fixpoint below that start is the
+    plain root, or, when the target is linked to the same part and so its
+    shared root was probed, lies inside the plain root and keeps every
+    value that some homomorphism uses.  ``budget``, the call's, counts those
+    probes when this call is the root's first use; it may be None for an
+    unlinked source.
     """
     if source.signature != target.signature:
         raise SignatureMismatch("homomorphism search needs similar structures")
@@ -577,19 +546,28 @@ def _constraints(source, unions, target, fixed, budget=None):
     n = len(source.universe)
     full = (1 << prepared.size) - 1
     domains = [full] * n
-    arcs, scans = _bind(skeleton, prepared, domains)
+    arcs = [[] for _ in domains]  # (partner masks, reverse masks, others)
+    scans = [[] for _ in domains]  # (variables, table entry) of arity three or more
+    for name, pattern, cols, forward, backward, wide in skeleton.keys:
+        entry = prepared.entry(name, pattern)
+        _, masks, fwd, rev = entry
+        for mask, vars in zip(masks, cols):
+            for v in vars:
+                domains[v] &= mask
+        for x, ys in forward:
+            arcs[x].append((fwd, rev, ys))
+        for y, xs in backward:
+            arcs[y].append((rev, fwd, xs))
+        for vars in wide:
+            for v in vars:
+                scans[v].append((vars, entry))
     if not all(domains):
         return None
     start = [full] * n
     loose = ()
     if skeleton.link is not None:
         shared, positions, loose = skeleton.link
-        linked = target.__dict__.get("_shared")
-        if linked is None or linked.__dict__["_skeleton"] is not shared:
-            budget = None  # no other linked search starts at this root
-        elif budget is None:
-            budget = _Budget(None, MAX_NODES)
-        root = prepared.root(shared, budget)
+        root = _shared_root(shared, target, budget)
         if root is None:
             return None
         for v, dom in zip(positions, root):
@@ -619,37 +597,15 @@ def _constraints(source, unions, target, fixed, budget=None):
     return domains, (arcs, scans, union_of, degree)
 
 
-def _bind(skeleton, prepared, domains):
-    """The arcs and scans of a skeleton bound to a target; ``domains`` are
-    narrowed to the column masks of every variable."""
-    arcs = [[] for _ in domains]  # (partner masks, reverse masks, others)
-    scans = [[] for _ in domains]  # (variables, table entry) of arity three or more
-    for name, pattern, cols, forward, backward, wide in skeleton.keys:
-        entry = prepared.entry(name, pattern)
-        _, masks, fwd, rev = entry
-        for mask, vars in zip(masks, cols):
-            for v in vars:
-                domains[v] &= mask
-        for x, ys in forward:
-            arcs[x].append((fwd, rev, ys))
-        for y, xs in backward:
-            arcs[y].append((rev, fwd, xs))
-        for vars in wide:
-            for v in vars:
-                scans[v].append((vars, entry))
-    return arcs, scans
-
-
-def _solve(constraints, domains, queue, max_nodes, stats, budget=None):
+def _solve(constraints, domains, queue, budget):
     """From domains that are a fixpoint but for the values ``queue`` lists as
     lost, propagate and backtrack; True when they end as a solution's
-    singletons.  Each node counts on ``budget``, the one its caller's
-    probes counted on, or else on a fresh one of ``max_nodes`` on ``stats``."""
+    singletons.  Each node counts on ``budget``."""
     arcs, scans, union_of, degree = constraints
     trail = []
     if not _propagate(domains, arcs, scans, union_of, queue, trail):
         return False
-    tick = (budget or _Budget(stats, max_nodes)).tick
+    tick = budget.tick
 
     def choose():
         # fewest values, then highest degree, then lowest index; None when all are fixed
@@ -768,7 +724,7 @@ def core(a, *, max_universe=MAX_CORE, max_nodes=MAX_NODES, stats=None):
     if not a.universe:
         return a
     twin = Structure(a.signature, a.universe, a.relations)
-    root, constraints = _constraints(twin, (), twin, None)  # never None: the identity map
+    root, constraints = _constraints(twin, (), twin, None, None)  # never None: the identity map
     arcs, scans = constraints[:2]
     full = keep = (1 << len(a.universe)) - 1
     for i in range(len(a.universe)):
@@ -777,7 +733,7 @@ def core(a, *, max_universe=MAX_CORE, max_nodes=MAX_NODES, stats=None):
             continue  # no map a -> a sends e to another kept element: e stays
         domains = [dom & mask for dom in root]
         queue = {v: lost for v, dom in enumerate(root) if (lost := dom & ~mask)}
-        if all(domains) and _solve(constraints, domains, queue, max_nodes, stats):
+        if all(domains) and _solve(constraints, domains, queue, _Budget(stats, max_nodes)):
             keep = mask
     if keep == full:
         return a

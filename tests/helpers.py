@@ -735,7 +735,7 @@ def per_tuple_search(source, unions, target, fixed, *, stats=None):
     real = homomorphism._propagate
     homomorphism._propagate = lifo_propagate
     try:
-        found = homomorphism._solve(built[1], built[0], {}, MAX_NODES, stats)
+        found = homomorphism._solve(built[1], built[0], {}, homomorphism._Budget(stats, MAX_NODES))
     finally:
         homomorphism._propagate = real
     if not found:

@@ -89,6 +89,17 @@ def test_eval_kvar_json_reports_its_joins(tmp_path, capsys):
     assert set(stats) == {"joins", "rows_max", "max_arity"} and stats["joins"] > 0
 
 
+def test_eval_k_is_an_error_for_every_strategy_but_kvar(tmp_path, capsys):
+    (tmp_path / "s.epq").write_text("exists x . exists y . E(x,y)")
+    (tmp_path / "b.str").write_text(EDGE)
+    files = ["--sentence", str(tmp_path / "s.epq"), "--structure", str(tmp_path / "b.str")]
+    for strategy in ("naive", "dnf-hom", "pp-reduction"):
+        code, out, err = _run(capsys, ["eval", *files, "--strategy", strategy, "--k", "2"])
+        assert code == 2 and out == "" and "kvar" in err and "Traceback" not in err
+        assert _run(capsys, ["eval", *files, "--strategy", strategy])[0] == 0
+    assert _run(capsys, ["eval", *files, "--strategy", "kvar", "--k", "2"])[0] == 0
+
+
 def test_treewidth_k4(tmp_path, capsys):
     (tmp_path / "k4.str").write_text(K4)
     code, out, _ = _run(capsys, ["treewidth", "--structure", str(tmp_path / "k4.str")])
@@ -210,8 +221,8 @@ def test_core_node_limit_and_count(tmp_path, capsys):
 
 
 def test_probes_count_against_the_node_limit(tmp_path, capsys):
-    # Probes settle the core of an H_2 member without searching, and most of
-    # m_normalize(H_2); each probe counts as a node, so --max-nodes 0 stops them.
+    # Probes settle the core of an H_2 member and m_normalize(H_2) without
+    # searching; each probe counts as a node, so --max-nodes 0 stops them.
     phi = q.hamiltonian_sentence(2)
     (tmp_path / "h2.epq").write_text(q.render(phi))
     member = q.structure_of_pp(q.m_normalize(phi)[0], q.formula_signature(phi))

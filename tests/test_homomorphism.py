@@ -12,6 +12,7 @@ import pytest
 
 import epquery as q
 from epquery import homomorphism
+from epquery.errors import MAX_NODES
 from epquery.formulas import _structure_and_unions
 from epquery.structures import repetition_pattern
 from helpers import (
@@ -417,7 +418,7 @@ def test_constraints_match_per_tuple_reference():
             fixed = {x: rng.choice(b.universe) for x in rng.sample(a.universe, min(2, len(a.universe)))}
         unions = _random_unions(rng, a) if trial % 5 < 2 else ()
         ref = per_tuple_constraints(a, unions, b, fixed)
-        new = homomorphism._constraints(a, unions, b, fixed)
+        new = homomorphism._constraints(a, unions, b, fixed, None)
         if ref is None:
             assert new is None
         else:
@@ -467,8 +468,9 @@ def test_linked_constraints_match_unlinked():
             # also with each source element pinned, which may narrow a shared variable
             pins = [{x: pick.choice(plain[i].universe)} for x in plain[j].universe]
             for fixed in [None] + pins:
-                got = homomorphism._constraints(linked[j], (), linked[i], fixed)
-                want = homomorphism._constraints(plain[j], (), plain[i], fixed)
+                got = homomorphism._constraints(linked[j], (), linked[i], fixed,
+                                                homomorphism._Budget(None, MAX_NODES))
+                want = homomorphism._constraints(plain[j], (), plain[i], fixed, None)
                 assert (got and got[0]) == (want and want[0])
             stats, reference = q.SearchStats(), q.SearchStats()
             found = q.find_homomorphism(linked[j], linked[i], stats=stats)
@@ -479,12 +481,22 @@ def test_linked_constraints_match_unlinked():
     assert linked_pairs > 500
 
 
-def test_shared_roots_do_not_outlive_their_sources():
+def test_shared_roots_do_not_outlive_their_sources(monkeypatch):
     # The target keeps a shared part's root fixpoint only while the linked
-    # sources are alive.
-    phi = q.parse_formula("exists x . exists y . (E(x,y) & (P(x) | Q(y)))")
-    b = q.Structure(EPQ, ("a", "b"), {"E": {("a", "b")}})
+    # sources are alive.  The three disjuncts are linked to E(x,y), and the
+    # E(x,y) & E(y,x) member is searched from its root in b.
+    built = []
+    real = homomorphism._shared_root
+
+    def recorded(shared, target, budget):
+        built.append(target)
+        return real(shared, target, budget)
+
+    monkeypatch.setattr(homomorphism, "_shared_root", recorded)
+    phi = q.parse_formula("exists x . exists y . (E(x,y) & (P(x) | Q(y) | E(y,x)))")
+    b = q.Structure(EPQ, ("a", "b", "c"), {"E": {("a", "b"), ("b", "c")}})
     assert not q.eval_via_pp_turing(phi, b)
+    assert any(target is b for target in built)
     assert len(homomorphism._prepared(b).roots) == 0
 
 
@@ -502,7 +514,7 @@ def _check_probed(probed, source, target):
     # into ``target`` and keeps every value some homomorphism uses; True
     # when it dropped a value.
     plain = homomorphism._constraints(q.Structure(source.signature, source.universe,
-                                                  source.relations), (), target, None)
+                                                  source.relations), (), target, None, None)
     homs = list(_homomorphisms(source, target))
     if probed is None:
         assert not homs
@@ -518,7 +530,7 @@ def _check_probed(probed, source, target):
 # first disjunct, but probing them there wipes out
 TRIANGLE_OR_TWO_CYCLE = q.parse_formula(
     "exists x . exists y . exists z . (E(x,y) & E(y,x) & E(y,z) & E(z,y) & E(x,z) & E(z,x)"
-    " & ((exists u . exists v . (E(u,v) & E(v,u))) | P(x)))"
+    " & ((exists u . exists v . (E(u,v) & E(v,u))) | P(x) | Q(x)))"
 )
 
 
@@ -535,19 +547,13 @@ def test_shared_root_probes_drop_only_values_no_homomorphism_uses():
         if shared is None:
             continue
         families += 1
-        skeleton = shared.__dict__["_skeleton"]
-        pairs = list(itertools.product(range(len(disjuncts)), repeat=2))
-        for i, _ in pairs:
-            # as if a search from each root had branched, so the next one probes it
-            homomorphism._prepared(linked[i]).root(skeleton)
-            homomorphism._prepared(linked[i]).roots[skeleton].branched = True
-        for i, j in pairs:
+        for i, j in itertools.product(range(len(disjuncts)), repeat=2):
             found = q.find_homomorphism(linked[j], linked[i])
             assert (found is None) == (q.find_homomorphism(plain[j], plain[i]) is None)
         for i, target in enumerate(linked):
-            root = homomorphism._prepared(target).roots[skeleton]
-            assert root.probed  # at the latest by the search from linked[i] itself
-            pruned += _check_probed(root.domains, shared, plain[i])
+            # probed on its first use, at the latest by the search from linked[i] itself
+            root = homomorphism._prepared(target).roots[homomorphism._skeleton(shared)]
+            pruned += _check_probed(root, shared, plain[i])
     assert families > 20 and pruned > 0
 
 
@@ -592,11 +598,21 @@ def _counting_probes(monkeypatch):
     return probes
 
 
-def test_shared_root_is_probed_only_after_a_search_from_it_branched(monkeypatch):
-    # A linked target's shared root is watched, and probed only once a
-    # search from it has had to branch; a search into any other target
-    # starts at the plain root, however often it runs.
-    probes = _counting_probes(monkeypatch)
+def test_shared_root_is_probed_once_per_linked_target(monkeypatch):
+    # A linked target's shared root is probed on its first use, once: the 27
+    # disjuncts of H_3 are the targets of m_normalize's searches.  A search
+    # into any other target starts at the plain root, however often it runs.
+    calls = []
+    real = homomorphism._probe_all
+
+    def counted(domains, arcs, scans, tick):
+        calls.append(len(domains))
+        return real(domains, arcs, scans, tick)
+
+    monkeypatch.setattr(homomorphism, "_probe_all", counted)
+    assert len(q.m_normalize(q.hamiltonian_sentence(3))) == 27
+    assert len(calls) == 27
+    calls.clear()
     disjuncts = q.to_pp_disjunction(TRIANGLE_OR_TWO_CYCLE)
     linked = [_structure_and_unions(d, EPQ)[0] for d in disjuncts]
     homomorphism._link_shared(linked)
@@ -605,12 +621,11 @@ def test_shared_root_is_probed_only_after_a_search_from_it_branched(monkeypatch)
         stats = q.SearchStats()
         assert q.find_homomorphism(linked[0], unlinked, stats=stats) is not None
         assert stats.nodes > 0
-    assert probes == []
+    shared = linked[0].__dict__["_shared"]
+    (root,) = homomorphism._prepared(unlinked).roots.values()
+    assert calls == [] and root == homomorphism._constraints(shared, (), unlinked, None, None)[0]
     assert q.find_homomorphism(linked[0], linked[1]) is not None
-    (record,) = homomorphism._prepared(linked[1]).roots.values()
-    assert probes == [] and record.branched and not record.probed
-    assert q.find_homomorphism(linked[0], linked[1]) is not None
-    assert probes and record.probed
+    assert calls == [len(shared.universe)]
 
 
 def test_two_disjuncts_on_a_large_shared_body_make_no_probe(monkeypatch):
@@ -649,7 +664,7 @@ def with_triangles(g):
 
 source = with_triangles(triangulated_grid(3, 4))
 target = with_triangles(sparse_digraph(5, 40, 16))
-domains, (arcs, scans, _, degree) = homomorphism._constraints(source, (), target, None)
+domains, (arcs, scans, _, degree) = homomorphism._constraints(source, (), target, None, None)
 names = {}
 for key, entry in homomorphism._prepared(target).keys.items():
     names[id(entry)] = key

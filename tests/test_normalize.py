@@ -235,11 +235,11 @@ def test_m_normalize_builds_one_skeleton_per_disjunct(monkeypatch):
     assert len(q.m_normalize(EIGHT)) == 5
     assert len(q.to_pp_disjunction(EIGHT)) == 8
     assert len(built) == len({id(s) for s in built}) == 5
-    # two disjuncts sharing E(x,y): first the shared part's, then one each
+    # two disjuncts sharing E(x,y) are not linked: one skeleton each
     built.clear()
     assert len(q.m_normalize(q.parse_formula("exists x . exists y . (E(x,y) & (P(x) | Q(y)))"))) == 2
-    assert len(built) == len({id(s) for s in built}) == 3
-    assert [sum(map(len, s.relations.values())) for s in built] == [1, 2, 2]
+    assert len(built) == len({id(s) for s in built}) == 2
+    assert [sum(map(len, s.relations.values())) for s in built] == [2, 2]
 
 
 @pytest.mark.time_limit(30)
@@ -247,9 +247,9 @@ def test_m_normalize_search_counts(monkeypatch):
     # The filter tests a new disjunct against each kept one, and each kept
     # one against it only when it entails none of them.  Every disjunct of
     # H_n is kept, so H_n takes N(N - 1) searches for its N = n^n disjuncts.
-    # A Hamiltonian target's shared root is probed once a search from it has
-    # branched, which settles the searches after it: H_2 counts 21 probes
-    # and 49 search nodes, H_3 200 probes and 459 search nodes.
+    # A Hamiltonian target's shared root is probed on its first use, which
+    # settles every search into it: H_2 counts 21 probes and H_3 200, and
+    # neither any search node.
     searches = []
     real = normalize.find_homomorphism
 
@@ -258,8 +258,8 @@ def test_m_normalize_search_counts(monkeypatch):
         return real(source, target, **kwargs)
 
     monkeypatch.setattr(normalize, "find_homomorphism", counted)
-    for phi, count, nodes in ((q.hamiltonian_sentence(2), 12, 70),
-                              (q.hamiltonian_sentence(3), 702, 659),
+    for phi, count, nodes in ((q.hamiltonian_sentence(2), 12, 21),
+                              (q.hamiltonian_sentence(3), 702, 200),
                               (EIGHT, 26, 3)):
         stats = q.SearchStats()
         searches.clear()
