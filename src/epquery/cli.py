@@ -10,6 +10,7 @@ EPQ_MAX_WORK); each subcommand takes only the limit flags it reads.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -233,6 +234,7 @@ def _add_common(sub, *limits):
         sub.add_argument("--" + name.replace("_", "-"), type=int, default=None)
 
 
+@functools.cache  # parse_args keeps no state on the parser, so one serves every call
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="epquery",

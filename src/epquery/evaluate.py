@@ -221,25 +221,38 @@ def eval_kvar(phi, b, k, *, stats=None, max_rows=MAX_ROWS):
     """Bottom-up evaluation computing satisfying assignments per subformula.
 
     Each intermediate relation ranges over the free variables of its
-    subformula, so its arity never exceeds k.  A conjunction is planned:
+    subformula, so its arity never exceeds k.  A subformula may be evaluated
+    against a context: rows over some of its free variables that an ancestor
+    can extend, so that it builds only rows agreeing with one of them (a
+    semijoin passed down, as in Yannakakis, VLDB 1981, and the magic sets of
+    Bancilhon, Maier, Sagiv and Ullman, PODS 1986).  ``Exists`` passes its
+    context to its child, ``Or`` passes each disjunct the context's
+    projection onto that disjunct's variables, ``Not`` and ``Forall`` pass
+    none, and atoms and equalities ignore it.  A conjunction is planned:
 
-    - its compound children are evaluated first, one at a time, then its
-      atoms and equalities;
+    - its context and its atoms and equalities are joined first, greedily as
+      below, but only parts that share a variable, so no cross product is
+      formed;
+    - its compound children are then evaluated in order.  An ``Exists`` or
+      ``And`` child gets as its context the smallest pending part sharing a
+      variable with it, projected onto the child's free variables;
     - an ``Or`` child whose free variables lie within those of a pending
       part filters the smallest such part: it keeps the part's rows on which
       some disjunct holds, so that ``Or`` is never padded to its variables;
-    - a part whose variables contain, or lie within, those of a part still
-      pending is joined with it at once, which only filters;
+      any other ``Or`` is padded, with no context;
+    - a child's relation whose variables contain, or lie within, those of a
+      pending part is joined with it at once, which only filters;
     - at the first empty part the conjunction is empty, and its remaining
       children are not evaluated;
     - the parts left are joined greedily: start from the smallest, then take
       the part sharing the most variables with the result, the smaller on
       ties, and stop as soon as the result is empty.
 
-    So besides the atom projections, which are made once per call and
-    shared, a conjunction holds at most one compound child's relation more
-    than the pending parts that could not be merged, and no join of its
-    atoms is built while one of its subtrees is evaluated.
+    A context comes from a part that is itself joined into the conjunction,
+    so the rows it leaves out are ones that join would drop: the verdict is
+    that of plain bottom-up evaluation.  A conjunction whose children are
+    all ``Or``s and that gets no context, as in every SAT reduction, passes
+    none down.  Atom projections are made once per call and shared.
     ``max_rows`` bounds every relation built.  When given, ``stats`` gets
     ``max_arity`` (the largest arity of a relation a visited subformula
     produced), ``joins`` (combinations of two relations, a filtered ``Or``
@@ -260,9 +273,12 @@ def eval_kvar(phi, b, k, *, stats=None, max_rows=MAX_ROWS):
     return bool(rows)
 
 
-def _relation(f, run):
+def _relation(f, run, context=None):
     # Satisfying assignments of f as (sorted free variables, set of rows).
-    # Atom rows are shared through run.atoms, so no relation is changed in place.
+    # A context (variables, rows) lists the values of some of f's free
+    # variables that an ancestor can extend; a row that agrees with none of
+    # them may be left out.  Atom rows are shared through run.atoms, so no
+    # relation is changed in place.
     kind = type(f)
     if kind is Atom:
         distinct, pattern = repetition_pattern(f.args)
@@ -277,15 +293,24 @@ def _relation(f, run):
         va = tuple(sorted({f.left, f.right}))
         ra = {(u,) * len(va) for u in run.b.universe}
     elif kind is And:
-        pending = []
-        for c in sorted(f.children, key=lambda c: isinstance(c, (Atom, Equality))):
+        parts = [context] if context is not None else []
+        compound = []
+        for c in f.children:
+            if type(c) is Atom or type(c) is Equality:
+                parts.append((yield _relation(c, run)))
+            else:
+                compound.append(c)
+        pending = _greedy_join(parts, run, cross=False)
+        if pending and not pending[0][1]:
+            compound = []  # an empty part: the conjunction is empty
+        for c in compound:
             covering = [p for p in pending if run.free[id(c)] <= set(p[0])] if type(c) is Or else []
             part = min(covering, key=lambda p: len(p[1]), default=None)
             if part is not None:
                 pending = [p for p in pending if p is not part]
                 va, ra = yield _filtered(c, part, run)
             else:
-                va, ra = yield _relation(c, run)
+                va, ra = yield _relation(c, run, _context(c, pending, run))
             unmerged = []
             for vb, rb in pending:
                 if ra and (set(va) <= set(vb) or set(vb) <= set(va)):
@@ -296,19 +321,20 @@ def _relation(f, run):
                 break
             pending = unmerged + [(va, ra)]
         else:
-            va, ra = _greedy_join(pending, run)
+            va, ra = _greedy_join(pending, run)[0]
         if not ra:
             va = tuple(sorted(run.free[id(f)]))
     elif kind is Or:
         parts = []
         for c in f.children:
-            parts.append((yield _relation(c, run)))
+            part = context and _project(context, run.free[id(c)])
+            parts.append((yield _relation(c, run, part)))
         va = tuple(sorted(set().union(*(set(v) for v, _ in parts))))
         ra = set()
         for vc, rc in parts:
             ra |= _expand(vc, rc, va, run)[1]
     else:
-        va, ra = yield _relation(f.child, run)
+        va, ra = yield _relation(f.child, run, context if kind is Exists else None)
         if kind is Not:
             va, ra = _complement(va, ra, run)
         elif f.var in va:
@@ -341,17 +367,48 @@ def _filtered(f, part, run):
     return run.built(vb, kept)
 
 
-def _greedy_join(parts, run):
+def _greedy_join(parts, run, cross=True):
     # From the smallest part, join in the part sharing the most variables
     # with the result; sorting by size makes the first such part the smallest.
+    # Without ``cross`` a result that shares no variable with the parts left
+    # is set aside, and the next smallest part starts another.  An empty
+    # result is returned alone, at once.
     parts = sorted(parts, key=lambda p: len(p[1]))
-    va, ra = parts.pop(0)
-    while parts and ra:
-        seen = set(va)
-        best = max(range(len(parts)), key=lambda i: len(seen.intersection(parts[i][0])))
-        vb, rb = parts.pop(best)
-        va, ra = _join(va, ra, vb, rb, run)
-    return va, ra
+    done = []
+    while parts:
+        va, ra = parts.pop(0)
+        while parts and ra:
+            seen = set(va)
+            best = max(range(len(parts)), key=lambda i: len(seen.intersection(parts[i][0])))
+            if not (cross or seen.intersection(parts[best][0])):
+                break
+            vb, rb = parts.pop(best)
+            va, ra = _join(va, ra, vb, rb, run)
+        if not ra:
+            return [(va, ra)]
+        done.append((va, ra))
+    return done
+
+
+def _context(f, pending, run):
+    # What an Exists or And child of a conjunction is evaluated against: the
+    # smallest pending part sharing a variable with it, projected onto those.
+    if type(f) is not Exists and type(f) is not And:
+        return None
+    free = run.free[id(f)]
+    sharing = [p for p in pending if free.intersection(p[0])]
+    part = min(sharing, key=lambda p: len(p[1]), default=None)
+    return part and _project(part, free)
+
+
+def _project(part, keep):
+    # The part's rows on its variables in ``keep``; None when it has none.
+    va, ra = part
+    positions = [i for i, v in enumerate(va) if v in keep]
+    if len(positions) == len(va):
+        return part
+    pick = _columns(positions)
+    return (tuple(va[i] for i in positions), set(map(pick, ra))) if positions else None
 
 
 def eval_dnf_hom(phi, b, *, max_disjuncts=MAX_DISJUNCTS, max_nodes=MAX_NODES, stats=None):

@@ -8,13 +8,14 @@ assignment.  The reference versions at the end (``restart_core``,
 ``table_treewidth_exact``, ``flat_eval_dnf_hom``,
 ``renaming_structure_and_unions``, ``dfs_validate_decomposition``,
 ``per_tuple_constraints``, ``lifo_propagate``, ``per_tuple_search``,
-``memo_every_node_eval_naive`` and ``padded_or_eval_kvar``) do use the
-library: they are the earlier, plainer control flow of ``core`` (two),
-``m_normalize``, ``treewidth_upper``, ``treewidth_exact``,
-``eval_dnf_hom``, ``formulas._structure_and_unions``,
-``validate_decomposition``, ``homomorphism._constraints``,
-``homomorphism._propagate``, ``find_homomorphism``, ``eval_naive`` and
-``eval_kvar``, kept to pin their outputs.
+``memo_every_node_eval_naive``, ``padded_or_eval_kvar`` and
+``compound_first_eval_kvar``) do use the library: they are the earlier,
+plainer control flow of ``core`` (two), ``m_normalize``,
+``treewidth_upper``, ``treewidth_exact``, ``eval_dnf_hom``,
+``formulas._structure_and_unions``, ``validate_decomposition``,
+``homomorphism._constraints``, ``homomorphism._propagate``,
+``find_homomorphism``, ``eval_naive`` and ``eval_kvar`` (two), kept to pin
+their outputs.
 """
 
 import importlib
@@ -800,6 +801,18 @@ def padded_or_eval_kvar(phi, b, k, *, stats=None, max_rows=10_000_000):
     """Reference ``eval_kvar``: every ``Or`` pads each disjunct's relation to
     the ``Or``'s variables and unions them, and a conjunction joins that
     relation like any other part."""
+    return _bottom_up_eval_kvar(phi, b, k, stats, max_rows, filter_or=False)
+
+
+def compound_first_eval_kvar(phi, b, k, *, stats=None, max_rows=10_000_000):
+    """Reference ``eval_kvar`` with no context: a conjunction evaluates its
+    compound children first, each on its own, then its atoms and equalities;
+    an ``Or`` child whose variables lie within a pending part filters the
+    smallest such part instead of being padded."""
+    return _bottom_up_eval_kvar(phi, b, k, stats, max_rows, filter_or=True)
+
+
+def _bottom_up_eval_kvar(phi, b, k, stats, max_rows, filter_or):
     info = q.classify(phi)
     if info.variables > k:
         raise q.FragmentError(f"sentence uses {info.variables} variables, more than k={k}")
@@ -808,6 +821,20 @@ def padded_or_eval_kvar(phi, b, k, *, stats=None, max_rows=10_000_000):
     evaluate._check_symbols(phi, b)
     run = evaluate._KvarRun(b, max_rows, _free_sets(q.subformulas(phi)))
     join, expand, complement = evaluate._join, evaluate._expand, evaluate._complement
+
+    def filtered(f, part):
+        vb, rest = part
+        run.joins += 1
+        kept = set()
+        for c in f.children:
+            vc, rc = yield relation(c)
+            key = evaluate._columns([vb.index(v) for v in vc])
+            hit = {row for row in rest if key(row) in rc}
+            kept |= hit
+            rest = rest - hit
+            if not rest:
+                break
+        return run.built(vb, kept)
 
     def relation(f):
         kind = type(f)
@@ -826,7 +853,13 @@ def padded_or_eval_kvar(phi, b, k, *, stats=None, max_rows=10_000_000):
         elif kind is q.And:
             pending = []
             for c in sorted(f.children, key=lambda c: isinstance(c, (q.Atom, q.Equality))):
-                va, ra = yield relation(c)
+                covering = [p for p in pending if run.free[id(c)] <= set(p[0])]
+                part = min(covering, key=lambda p: len(p[1]), default=None)
+                if filter_or and type(c) is q.Or and part is not None:
+                    pending = [p for p in pending if p is not part]
+                    va, ra = yield filtered(c, part)
+                else:
+                    va, ra = yield relation(c)
                 unmerged = []
                 for vb, rb in pending:
                     if ra and (set(va) <= set(vb) or set(vb) <= set(va)):
@@ -837,7 +870,7 @@ def padded_or_eval_kvar(phi, b, k, *, stats=None, max_rows=10_000_000):
                     break
                 pending = unmerged + [(va, ra)]
             else:
-                va, ra = evaluate._greedy_join(pending, run)
+                va, ra = evaluate._greedy_join(pending, run)[0]
             if not ra:
                 va = tuple(sorted(run.free[id(f)]))
         elif kind is q.Or:

@@ -8,11 +8,13 @@ import pytest
 import epquery as q
 from epquery import homomorphism
 from epquery.formulas import _free_sets
+from epquery.normalize import _members
 from helpers import (
     E2,
     FO_SIG,
     UNION_SIG,
     cnf_satisfiable,
+    compound_first_eval_kvar,
     digraph,
     evaluate,
     flat_eval_dnf_hom,
@@ -149,13 +151,14 @@ def test_evaluate_forwards_max_rows_to_kvar():
 
 
 # Join calls and the largest relation of the 3 x 10 grid's 4-variable form:
-# a change of join order fails here, not only in the benchmark.  On the
-# false target the first empty part stops the plan after 7 joins.
+# a change of join order or of the contexts passed down fails here, not only
+# in the benchmark.  On the false target the first empty part stops the plan
+# after 6 joins.
 def test_eval_kvar_plan_counters_are_pinned():
     grid = triangulated_grid(3, 10)
     width, decomposition = q.treewidth_upper(grid)
     form = q.pp_from_decomposition(grid, decomposition, width + 1)
-    cases = ((sparse_digraph(1, 60, 12), True, 65, 2576), (sparse_digraph(2, 60, 0), False, 7, 1620))
+    cases = ((sparse_digraph(1, 60, 12), True, 91, 698), (sparse_digraph(2, 60, 0), False, 6, 540))
     for target, verdict, joins, rows_max in cases:
         stats = {}
         assert q.eval_kvar(form, target, 4, stats=stats) is verdict
@@ -333,6 +336,91 @@ def test_eval_kvar_counters_on_unary_sat_are_pinned():
     assert not q.eval_kvar(inst.sentence, inst.structure, 11, stats=stats)
     assert not padded_or_eval_kvar(inst.sentence, inst.structure, 11, stats=reference)
     assert stats == reference == {"max_arity": 11, "joins": 29, "rows_max": 1792}
+
+
+def _kvar_against_compound_first(phi, b, k):
+    # Both plans' verdicts must agree; returns (verdict, stats, reference stats).
+    stats, reference = {}, {}
+    verdict = q.eval_kvar(phi, b, k, stats=stats)
+    assert verdict == compound_first_eval_kvar(phi, b, k, stats=reference)
+    assert stats["max_arity"] <= k
+    return verdict, stats, reference
+
+
+def test_eval_kvar_contexts_keep_the_compound_first_verdicts(monkeypatch):
+    # Each corpus passes some contexts down: counted per corpus.
+    contexts = collections.Counter()
+    corpus = ["random"]
+    real = evaluate._project
+
+    def counted(part, keep):
+        projected = real(part, keep)
+        contexts[corpus[0]] += projected is not None
+        return projected
+
+    monkeypatch.setattr(evaluate, "_project", counted)
+    rng = random.Random(137)
+    for _ in range(200):
+        phi = random_ep_formula(rng, EPQ_SIG)
+        b = random_structure(rng, EPQ_SIG, 3)
+        _kvar_against_compound_first(phi, b, q.classify(phi).variables)
+        phi = random_fo_sentence(rng)
+        b = random_structure(rng, FO_SIG, 3, density=0.4)
+        _kvar_against_compound_first(phi, b, q.classify(phi).variables)
+    corpus[0] = "decomposition"
+    for _ in range(60):
+        a = random_structure(rng, E2, 7, density=0.3)
+        width, decomposition = q.treewidth_upper(a)
+        form = q.pp_from_decomposition(a, decomposition, width + 1)
+        _kvar_against_compound_first(form, random_structure(rng, E2, 4, density=0.4), width + 1)
+    # the cores of H_3's normalized members (each is its own core) at
+    # k = w + 1, on a Hamiltonian and a non-Hamiltonian 3-vertex digraph
+    corpus[0] = "H_3"
+    names = ("a0", "a1", "a2")
+    targets = [q.reduce_hamiltonian(digraph(names, edges)).structure for edges in (
+        {("a0", "a1"), ("a1", "a2"), ("a2", "a0")}, {("a0", "a1"), ("a1", "a2"), ("a2", "a2")})]
+    verdicts = collections.Counter()
+    members = _members(q.hamiltonian_sentence(3), targets[0].signature, 10 ** 6, 10 ** 7, None)
+    for _, struct in members:
+        c = q.core(struct, max_universe=len(struct.universe))
+        width, decomposition = q.treewidth_exact(c, max_universe=len(c.universe))
+        form = q.pp_from_decomposition(c, decomposition, width + 1)
+        for i, b in enumerate(targets):
+            verdicts[i] += _kvar_against_compound_first(form, b, width + 1)[0]
+    assert verdicts[0] > 0 == verdicts[1]
+    # the 3 x 10 grid's 4-variable form on sparse targets: never a larger
+    # relation than the compound-first plan, and a smaller one on some
+    # targets with the grid's image and on some without
+    corpus[0] = "grid"
+    grid = triangulated_grid(3, 10)
+    width, decomposition = q.treewidth_upper(grid)
+    form = q.pp_from_decomposition(grid, decomposition, width + 1)
+    smaller = collections.Counter()
+    for seed, n, image in itertools.product((1, 2, 3), (30, 60, 90), (0, 12)):
+        _, stats, reference = _kvar_against_compound_first(form, sparse_digraph(seed, n, image), 4)
+        assert stats["rows_max"] <= reference["rows_max"]
+        smaller[image] += stats["rows_max"] < reference["rows_max"]
+    assert min(smaller[0], smaller[12]) > 0
+    assert min(contexts[name] for name in ("random", "decomposition", "H_3", "grid")) >= 10
+
+
+def test_or_only_conjunctions_keep_the_compound_first_counters():
+    # Every conjunction of a SAT reduction of a 3-CNF has only Or children,
+    # so it builds the same relations as the compound-first plan, join for join.
+    rng = random.Random(139)
+    for _ in range(6):
+        n = rng.randint(5, 7)
+        cnf = q.CnfFormula(n, tuple(
+            frozenset(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
+            for _ in range(rng.randint(3 * n, 6 * n))
+        ))
+        for mode, arity in (("two-symbols", 2), ("single-symbol", 3), ("unary", 2)):
+            inst = q.reduce_sat(cnf, mode, arity)
+            assert all(type(c) is q.Or for g in q.subformulas(inst.sentence)
+                       if type(g) is q.And for c in g.children)
+            k = q.classify(inst.sentence).variables
+            _, stats, reference = _kvar_against_compound_first(inst.sentence, inst.structure, k)
+            assert stats == reference
 
 
 def test_eval_naive_memory_on_unary_sat_is_bounded():

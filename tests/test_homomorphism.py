@@ -455,30 +455,45 @@ def _with_shared_body(rng):
 
 def test_linked_constraints_match_unlinked():
     # Starting the shared variables at the shared part's root fixpoint in
-    # the target leaves the same root domains, or the same wipe-out, and
-    # the same witness after the same number of nodes.
+    # the target leaves the same verdict.  Into a target linked to the same
+    # part that root was probed, so the root domains lie inside the plain
+    # ones and keep every value of every homomorphism, and the witness is
+    # one of those homomorphisms; it is the plain witness, after as many
+    # nodes, where the roots are equal, as they are into any other target.
     rng, pick = random.Random(97), random.Random(5)
-    linked_pairs = 0
+    linked_pairs = probed_pairs = 0
     for _ in range(40):
         disjuncts = q.to_pp_disjunction(_with_shared_body(rng))
         linked = [_structure_and_unions(d, EPQ)[0] for d in disjuncts]
         plain = [_structure_and_unions(d, EPQ)[0] for d in disjuncts]
         homomorphism._link_shared(linked)
         for i, j in itertools.product(range(len(disjuncts)), repeat=2):
+            probed = "_shared" in linked[i].__dict__
+            homs = list(_homomorphisms(plain[j], plain[i])) if probed else None
             # also with each source element pinned, which may narrow a shared variable
             pins = [{x: pick.choice(plain[i].universe)} for x in plain[j].universe]
             for fixed in [None] + pins:
                 got = homomorphism._constraints(linked[j], (), linked[i], fixed,
                                                 homomorphism._Budget(None, MAX_NODES))
                 want = homomorphism._constraints(plain[j], (), plain[i], fixed, None)
-                assert (got and got[0]) == (want and want[0])
+                if probed:
+                    _check_probed(got and got[0], plain[j], plain[i], fixed, homs)
+                else:
+                    assert (got and got[0]) == (want and want[0])
+                if fixed is None:
+                    same_root = (got and got[0]) == (want and want[0])
             stats, reference = q.SearchStats(), q.SearchStats()
             found = q.find_homomorphism(linked[j], linked[i], stats=stats)
             expected = q.find_homomorphism(plain[j], plain[i], stats=reference)
-            assert (found and found.mapping) == (expected and expected.mapping)
-            assert stats.nodes == reference.nodes
+            assert (found is None) == (expected is None)
+            if probed and found is not None:
+                assert found.mapping in homs
+            if same_root:
+                assert (found and found.mapping) == (expected and expected.mapping)
+                assert stats.nodes == reference.nodes
             linked_pairs += homomorphism._skeleton(linked[j]).link is not None
-    assert linked_pairs > 500
+            probed_pairs += probed
+    assert linked_pairs > 500 and probed_pairs > 500
 
 
 def test_shared_roots_do_not_outlive_their_sources(monkeypatch):
@@ -509,13 +524,16 @@ def _homomorphisms(a, b):
             yield h
 
 
-def _check_probed(probed, source, target):
+def _check_probed(probed, source, target, fixed=None, homs=None):
     # The probed root lies inside the plain arc-consistent root of ``source``
     # into ``target`` and keeps every value some homomorphism uses; True
-    # when it dropped a value.
+    # when it dropped a value.  ``fixed`` pins as in ``_constraints``, and
+    # ``homs`` may give every homomorphism, pinned or not, when known.
+    fixed = fixed or {}
     plain = homomorphism._constraints(q.Structure(source.signature, source.universe,
-                                                  source.relations), (), target, None, None)
-    homs = list(_homomorphisms(source, target))
+                                                  source.relations), (), target, fixed, None)
+    homs = [h for h in (_homomorphisms(source, target) if homs is None else homs)
+            if all(h[x] == v for x, v in fixed.items())]
     if probed is None:
         assert not homs
         return plain is not None
@@ -628,22 +646,25 @@ def test_shared_root_is_probed_once_per_linked_target(monkeypatch):
     assert calls == [len(shared.universe)]
 
 
-def test_two_disjuncts_on_a_large_shared_body_make_no_probe(monkeypatch):
-    # Each search between the two disjuncts refutes on the empty column mask
-    # of its own atom, before its shared root is asked for, and a root that
-    # serves a single search is never probed.
+def test_three_disjuncts_on_a_large_shared_body_make_no_probe(monkeypatch):
+    # The three disjuncts are linked, so each is a target whose shared root
+    # would be probed on its first use.  Each search between two of them
+    # refutes on the empty column mask of its own atom (P, Q or the loop),
+    # before that root is asked for, so no root is built or probed.
     probes = _counting_probes(monkeypatch)
     names = [f"x{i}" for i in range(8)]
     body = " & ".join(f"E({x},{y})" for x in names for y in names if x != y)
     phi = q.parse_formula(" . ".join(f"exists {x}" for x in names)
-                          + f" . ({body} & (P(x1) | Q(x1)))")
+                          + f" . ({body} & (P(x1) | Q(x1) | E(x1,x1)))")
     stats = q.SearchStats()
-    assert len(q.m_normalize(phi, stats=stats)) == 2
+    assert len(q.m_normalize(phi, stats=stats)) == 3
     assert probes == [] and stats.nodes == 0
     linked = [_structure_and_unions(d, EPQ)[0] for d in q.to_pp_disjunction(phi)]
     homomorphism._link_shared(linked)
-    assert q.find_homomorphism(linked[0], linked[1]) is None
-    assert len(homomorphism._prepared(linked[1]).roots) == 0
+    assert all("_shared" in s.__dict__ for s in linked)
+    for source, target in itertools.permutations(linked, 2):
+        assert q.find_homomorphism(source, target) is None
+    assert probes == [] and all(len(homomorphism._prepared(s).roots) == 0 for s in linked)
 
 
 def test_constraints_order_does_not_depend_on_the_hash_seed():
