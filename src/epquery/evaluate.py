@@ -158,6 +158,7 @@ class _KvarRun:
         self.max_rows = max_rows
         self.free = free  # id(node) -> free variables
         self.atoms = {}  # (symbol, repetition pattern, column order) -> rows
+        self.indexes = {}  # id of an atom relation -> key columns -> index
         self.widest = 0
         self.joins = 0
         self.rows_max = 0
@@ -166,34 +167,54 @@ class _KvarRun:
         self.rows_max = max(self.rows_max, len(ra))
         return va, ra
 
+    def index(self, rows, positions):
+        # An atom relation is held in self.atoms for the whole call, so its
+        # id is stable and its index is built once; any other is used once.
+        cache = self.indexes.get(id(rows))
+        if cache is None:
+            return _index(rows, positions)
+        if positions not in cache:
+            cache[positions] = _index(rows, positions)
+        return cache[positions]
 
-def _join(va, ra, vb, rb, run):
+
+def _index(rows, positions):
+    # The rows grouped by their entries at ``positions``.
+    key = _columns(positions)
+    index = {}
+    for row in rows:
+        index.setdefault(key(row), []).append(row)
+    return index
+
+
+def _join(va, ra, vb, rb, run, checks=()):
     # Natural join over the sorted union of the variables.  Distinct input
     # rows give distinct output rows, so the output grows with every match.
-    run.joins += 1
+    # Variables are sorted, so when one side's lie within the other's its
+    # rows are their own keys and the join only filters.  An expanding join
+    # probes rb's index and keeps a new row only if it is in each part of
+    # ``checks``, atom relations over variables the join binds; each check
+    # counts as a join, and the rows it drops are never built.
+    run.joins += 1 + len(checks)
     sa, sb = set(va), set(vb)
     if sa < sb or (sa == sb and len(ra) > len(rb)):
         va, ra, vb, rb, sa, sb = vb, rb, va, ra, sb, sa
+    if sb <= sa:
+        key_a = _columns([va.index(v) for v in vb])
+        return run.built(va, {row for row in ra if key_a(row) in rb})
     shared = [v for v in va if v in sb]
     key_a = _columns([va.index(v) for v in shared])
-    key_b = _columns([vb.index(v) for v in shared])
-    if sb <= sa:  # the join only filters ra
-        keys = set(map(key_b, rb))
-        return run.built(va, {row for row in ra if key_a(row) in keys})
-    out_vars = tuple(sorted(sa | sb))
+    index = run.index(rb, tuple(vb.index(v) for v in shared))
     where = {v: len(va) + i for i, v in enumerate(vb)}
     where.update((v, i) for i, v in enumerate(va))
-    pick = _columns([where[v] for v in out_vars])
-    index = {}
-    for row in rb:
-        index.setdefault(key_b(row), []).append(row)
-    out = set()
-    for row in ra:
-        matches = index.get(key_a(row))
-        if matches:
-            out.update(pick(row + match) for match in matches)
-            if len(out) > run.max_rows:
-                raise LimitExceeded("bounded-variable relation size", run.max_rows)
+    rows = (row + match for row in ra for match in index.get(key_a(row), ()))
+    for vc, rc in checks:
+        key = _columns([where[v] for v in vc])
+        rows = filter(lambda joined, key=key, rc=rc: key(joined) in rc, rows)
+    out_vars = tuple(sorted(sa | sb))
+    out = set(itertools.islice(map(_columns([where[v] for v in out_vars]), rows), run.max_rows + 1))
+    if len(out) > run.max_rows:
+        raise LimitExceeded("bounded-variable relation size", run.max_rows)
     return run.built(out_vars, out)
 
 
@@ -246,17 +267,22 @@ def eval_kvar(phi, b, k, *, stats=None, max_rows=MAX_ROWS):
       children are not evaluated;
     - the parts left are joined greedily: start from the smallest, then take
       the part sharing the most variables with the result, the smaller on
-      ties, and stop as soon as the result is empty.
+      ties, and stop as soon as the result is empty.  When a join adds
+      variables, each pending atom whose variables it then binds is checked
+      on every new row inside that join, so a row that fails is never built.
 
     A context comes from a part that is itself joined into the conjunction,
     so the rows it leaves out are ones that join would drop: the verdict is
     that of plain bottom-up evaluation.  A conjunction whose children are
     all ``Or``s and that gets no context, as in every SAT reduction, passes
-    none down.  Atom projections are made once per call and shared.
-    ``max_rows`` bounds every relation built.  When given, ``stats`` gets
-    ``max_arity`` (the largest arity of a relation a visited subformula
-    produced), ``joins`` (combinations of two relations, a filtered ``Or``
-    counting as one) and ``rows_max`` (the largest relation built).
+    none down.  Atom projections are made once per call and shared, and so
+    is the index of an atom relation on each set of key columns that a join
+    looks it up by.  ``max_rows`` bounds every relation built.  When given,
+    ``stats`` gets ``max_arity`` (the largest arity of a relation a visited
+    subformula produced), ``joins`` (combinations of two relations, a
+    filtered ``Or`` and an atom checked inside a join each counting as one)
+    and ``rows_max`` (the largest relation built, atom projections included;
+    a join's rows that a check drops are not counted).
     """
     info = classify(phi)
     if info.variables > k:
@@ -289,6 +315,7 @@ def _relation(f, run, context=None):
         if ra is None:
             rows = project_rows(run.b.relations[f.symbol], pattern)
             ra = run.atoms[key] = set(map(_columns(order), rows))
+            run.indexes[id(ra)] = {}
     elif kind is Equality:
         va = tuple(sorted({f.left, f.right}))
         ra = {(u,) * len(va) for u in run.b.universe}
@@ -320,8 +347,8 @@ def _relation(f, run, context=None):
             if not ra:
                 break
             pending = unmerged + [(va, ra)]
-        else:
-            va, ra = _greedy_join(pending, run)[0]
+        else:  # an empty conjunction holds: one row over no variables
+            va, ra = _greedy_join(pending, run)[0] if pending else ((), {()})
         if not ra:
             va = tuple(sorted(run.free[id(f)]))
     elif kind is Or:
@@ -371,8 +398,9 @@ def _greedy_join(parts, run, cross=True):
     # From the smallest part, join in the part sharing the most variables
     # with the result; sorting by size makes the first such part the smallest.
     # Without ``cross`` a result that shares no variable with the parts left
-    # is set aside, and the next smallest part starts another.  An empty
-    # result is returned alone, at once.
+    # is set aside, and the next smallest part starts another.  An atom
+    # relation whose variables an expanding join binds is checked inside that
+    # join.  An empty result is returned alone, at once.
     parts = sorted(parts, key=lambda p: len(p[1]))
     done = []
     while parts:
@@ -383,7 +411,14 @@ def _greedy_join(parts, run, cross=True):
             if not (cross or seen.intersection(parts[best][0])):
                 break
             vb, rb = parts.pop(best)
-            va, ra = _join(va, ra, vb, rb, run)
+            bound = seen.union(vb)
+            adds = len(bound) > max(len(va), len(vb))
+            checks, rest = [], []
+            for p in parts:
+                fused = adds and id(p[1]) in run.indexes and bound.issuperset(p[0])
+                (checks if fused else rest).append(p)
+            parts = rest
+            va, ra = _join(va, ra, vb, rb, run, checks)
         if not ra:
             return [(va, ra)]
         done.append((va, ra))

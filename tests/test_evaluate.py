@@ -151,19 +151,58 @@ def test_evaluate_forwards_max_rows_to_kvar():
 
 
 # Join calls and the largest relation of the 3 x 10 grid's 4-variable form:
-# a change of join order or of the contexts passed down fails here, not only
-# in the benchmark.  On the false target the first empty part stops the plan
-# after 6 joins.
+# a change of join order, of the contexts passed down or of the atoms checked
+# inside a join fails here, not only in the benchmark.  On the false target
+# the first empty part stops the plan after 6 joins.
 def test_eval_kvar_plan_counters_are_pinned():
     grid = triangulated_grid(3, 10)
     width, decomposition = q.treewidth_upper(grid)
     form = q.pp_from_decomposition(grid, decomposition, width + 1)
-    cases = ((sparse_digraph(1, 60, 12), True, 91, 698), (sparse_digraph(2, 60, 0), False, 6, 540))
+    cases = ((sparse_digraph(1, 60, 12), True, 91, 200), (sparse_digraph(2, 60, 0), False, 6, 180))
     for target, verdict, joins, rows_max in cases:
         stats = {}
         assert q.eval_kvar(form, target, 4, stats=stats) is verdict
         assert stats == {"max_arity": 4, "joins": joins, "rows_max": rows_max}
         assert (q.find_homomorphism(grid, target) is not None) is verdict
+
+
+def test_eval_kvar_indexes_each_atom_relation_once_per_call(monkeypatch):
+    # An expanding join probes an index of its build side.  An atom
+    # relation's index on given key columns is built at its first use in a
+    # call and shared by the later joins; any other relation is used once.
+    built, probed = collections.Counter(), collections.Counter()
+    kept = []  # holds every indexed relation, so that no id is reused
+    real_index, real_lookup = evaluate._index, evaluate._KvarRun.index
+
+    def index(rows, positions):
+        kept.append(rows)
+        built[id(rows), positions] += 1
+        return real_index(rows, positions)
+
+    def lookup(run, rows, positions):
+        kept.append(rows)
+        probed[id(rows), positions] += 1
+        return real_lookup(run, rows, positions)
+
+    monkeypatch.setattr(evaluate, "_index", index)
+    monkeypatch.setattr(evaluate._KvarRun, "index", lookup)
+    grid = triangulated_grid(3, 10)
+    width, decomposition = q.treewidth_upper(grid)
+    form = q.pp_from_decomposition(grid, decomposition, width + 1)
+    for seed, image in ((1, 12), (2, 0), (3, 12)):
+        built.clear(), probed.clear(), kept.clear()
+        q.eval_kvar(form, sparse_digraph(seed, 60, image), 4)
+        assert set(built) == set(probed) and max(built.values()) == 1
+        assert sum(probed.values()) > len(probed)
+
+
+def test_eval_kvar_on_an_empty_conjunction_agrees_with_naive():
+    # ``conj`` and the parser never make And(()), but it is a formula: the
+    # one empty row, true on every structure
+    b = digraph(["a", "b"], {("a", "b")})
+    loop = q.Exists("x", q.And((q.Atom("E", ("x", "x")), q.And(()))))
+    for phi, k in ((q.And(()), 0), (q.Exists("x", q.And(())), 1), (loop, 1)):
+        assert q.eval_kvar(phi, b, k) == q.eval_naive(phi, b) == (phi is not loop)
 
 
 def test_eval_kvar_on_bounded_variable_forms_agrees_with_naive_and_dnf_hom():
