@@ -35,7 +35,8 @@ print("loop sentence entails edge sentence:", q.pp_entails(loop_query, edge_quer
 print("edge sentence entails loop sentence:", q.pp_entails(edge_query, loop_query))
 
 # Four strategies produce the same verdict:
-#   naive          recursion over all assignments
+#   naive          a walk over assignments, each part decided once its
+#                  own variables are bound
 #   kvar           bottom-up relations over at most k variables
 #   dnf-hom        one homomorphism search per disjunct, an Or of atoms
 #                  kept whole as one union constraint of the search

@@ -1,17 +1,19 @@
 """Model-checking strategies for first-order and existential positive sentences.
 
-Four routes to the same verdict: a walk over all assignments and the
-bounded-variable bottom-up evaluator, both on ``formulas.walk``'s stack;
-one homomorphism search per disjunct, where each ``Or`` of atoms stays
-whole as a union constraint of the search; and the product-based round trip
-through the normalized disjunct set.
+Four routes to the same verdict: a walk over assignments of the sentence
+specialized to the structure (atoms over empty or full relations folded
+away, each quantifier moved below the parts that do not mention its
+variable) and the bounded-variable bottom-up evaluator, both on
+``formulas.walk``'s stack; one homomorphism search per disjunct, where each
+``Or`` of atoms stays whole as a union constraint of the search; and the
+product-based round trip through the normalized disjunct set.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import is_, itemgetter
 
 from .errors import (
     MAX_DISJUNCTS,
@@ -65,39 +67,123 @@ def _check_symbols(phi, b):
 
 
 def eval_naive(phi, b, *, max_work=MAX_WORK):
-    """Truth of a closed formula by a walk over all variable assignments.
+    """Truth of a closed formula by a walk over variable assignments.
 
     The work estimate |B| ** (max free variables over subformulas) is checked
-    against ``max_work`` before evaluation starts.  Each subformula's verdict
-    depends only on its free variables, so it is cached per assignment of
-    those where a lookup can hit: at a node that occurs twice or has fewer
-    free variables than quantifiers above it (shadowed binders count once per
-    quantifier); any other node meets each assignment at most once.  That
-    keeps the actual work proportional to the estimate even when quantifiers
-    nest far deeper than the number of live variables.  Atoms and equalities
-    are decided in their parent's loop, without a walker frame.
+    against ``max_work`` on the input sentence before evaluation starts.  The
+    sentence is then specialized to ``b`` (see ``_specialized``): atoms whose
+    relation is empty or full become constants and are folded away, and each
+    quantifier moves below the conjuncts (the disjuncts, for ``forall``) that
+    do not mention its variable, so every part is decided where its own
+    variables are bound (miniscoping, as in Harrison, Handbook of Practical
+    Logic and Automated Reasoning, 2009, section 3.5).  No subformula gains a
+    free variable, so the estimate stays an upper bound.
+
+    The walk then runs on the specialized sentence.  Each subformula's
+    verdict depends only on its free variables, so it is cached per
+    assignment of those where a lookup can hit: at a node that occurs twice
+    or has fewer free variables than quantifiers above it (shadowed binders
+    count once per quantifier); any other node meets each assignment at most
+    once.  That keeps the actual work proportional to the estimate even when
+    quantifiers nest far deeper than the number of live variables.  Atoms and
+    equalities are decided in their parent's loop, without a walker frame.
     """
-    free_of = {key: tuple(sorted(names)) for key, names in _free_sets(subformulas(phi)).items()}
-    if free_of[id(phi)]:
+    free = _free_sets(subformulas(phi))
+    if free[id(phi)]:
         raise FragmentError("a closed sentence is required")
     _check_symbols(phi, b)
     size = len(b.universe)
     if size == 0:
         raise EpqError("evaluation needs a non-empty universe")
-    if size ** max(map(len, free_of.values())) > max_work:
+    if size ** max(map(len, free.values())) > max_work:
         raise LimitExceeded("naive evaluation work estimate", max_work)
+    free = {}
+    phi, _ = walk(_specialized(phi, b, free))
+    if type(phi) is bool:
+        return phi
     # the root is the one child of a conjunction, so it is decided like any child
-    return walk(_truth(And((phi,)), b, {}, {}, _reusable(phi, free_of)))
+    return walk(_truth(And((phi,)), b, {}, {}, _reusable(phi, free)))
 
 
-def _reusable(phi, free_of):
+def _specialized(f, b, free):
+    # f specialized to b, as (node or bool, free variables); a bool is f's
+    # verdict under every assignment.  A node comes back as itself when
+    # nothing below it changed, so a node that occurs twice stays one node.
+    # ``free`` maps the id of each node returned to its free variables.
+    kind = type(f)
+    if kind is Atom:
+        rows = b.relations[f.symbol]
+        if not rows or _full(rows, b.universe, len(f.args)):
+            return bool(rows), set()
+        return _made(f, set(f.args), free)
+    if kind is Equality:
+        if f.left == f.right or len(b.universe) == 1:
+            return True, set()
+        return _made(f, {f.left, f.right}, free)
+    if kind is Not:
+        g, names = yield _specialized(f.child, b, free)
+        if type(g) is bool:
+            return not g, names
+        return _made(f if g is f.child else Not(g), names, free)
+    if kind is And or kind is Or:
+        # False absorbs a conjunction and True a disjunction; the other
+        # constant is dropped
+        absorbing = kind is Or
+        kids, names = [], set()
+        for c in f.children:
+            g, names_c = yield _specialized(c, b, free)
+            if type(g) is bool:
+                if g is absorbing:
+                    return g, names_c
+                continue
+            kids.extend(g.children if type(g) is kind else (g,))
+            names |= names_c
+        if len(kids) == len(f.children) and all(map(is_, kids, f.children)):
+            return _made(f, names, free)
+        if len(kids) < 2:
+            return (kids[0], names) if kids else (not absorbing, names)
+        return _made(kind(tuple(kids)), names, free)
+    g, names = yield _specialized(f.child, b, free)
+    if type(g) is bool or f.var not in names:
+        return g, names  # the universe is not empty
+    names = names - {f.var}
+    # exists moves below the conjuncts without its variable, forall below
+    # such disjuncts: And(outside..., exists x . And(inside...))
+    scoped = And if kind is Exists else Or
+    parts = g.children if type(g) is scoped else (g,)
+    outside = [c for c in parts if f.var not in free[id(c)]]
+    if not outside:
+        return _made(f if g is f.child else kind(f.var, g), names, free)
+    inside = [c for c in parts if f.var in free[id(c)]]
+    body = inside[0]
+    if len(inside) > 1:
+        body, _ = _made(scoped(tuple(inside)), set().union(*[free[id(c)] for c in inside]), free)
+    moved, _ = _made(kind(f.var, body), free[id(body)] - {f.var}, free)
+    return _made(scoped((*outside, moved)), names, free)
+
+
+def _made(node, names, free):
+    free[id(node)] = names
+    return node, names
+
+
+def _full(rows, universe, arity):
+    # Whether rows hold every arity-tuple over the universe.  Rows that are
+    # not such tuples (a structure ``validate`` rejects) do not count.
+    if len(rows) < len(universe) ** arity:
+        return False
+    inside = set(universe)
+    return sum(len(t) == arity and inside.issuperset(t) for t in rows) == len(universe) ** arity
+
+
+def _reusable(phi, free):
     # id -> key maker, for each node whose cached verdict a later visit can read
     seen, reusable = set(), {}
     stack = [(phi, 0)]
     while stack:
         g, above = stack.pop()
-        if id(g) in seen or len(free_of[id(g)]) < above:
-            reusable[id(g)] = _columns(free_of[id(g)])
+        if id(g) in seen or len(free[id(g)]) < above:
+            reusable[id(g)] = _columns(sorted(free[id(g)]))
         seen.add(id(g))
         above += type(g) is Exists or type(g) is Forall
         stack.extend((c, above) for c in children(g))

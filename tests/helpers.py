@@ -281,6 +281,76 @@ def random_fo_sentence(rng, max_vars=3, max_depth=4):
     return sentence
 
 
+FOLD_SIG = q.Signature([q.RelationSymbol("P", 1), q.RelationSymbol("Q", 1),
+                        q.RelationSymbol("E", 2), q.RelationSymbol("F", 2)])
+
+
+def random_foldable_structure(rng):
+    """A structure over FOLD_SIG whose relations are often empty, full, or
+    one tuple short of full; some universes have one element."""
+    universe = tuple(f"e{i}" for i in range(rng.choice((1, 2, 2, 3, 3))))
+    relations = {}
+    for sym in FOLD_SIG:
+        every = list(itertools.product(universe, repeat=sym.arity))
+        roll = rng.random()
+        if roll < 0.12:
+            rows = []
+        elif roll < 0.24:
+            rows = every
+        elif roll < 0.5:
+            rows = rng.sample(every, len(every) - 1)
+        else:
+            rows = [t for t in every if rng.random() < 0.5]
+        relations[sym.name] = set(rows)
+    return q.Structure(FOLD_SIG, universe, relations)
+
+
+def random_foldable_sentence(rng, max_vars=3, max_depth=3):
+    """A closed first-order sentence over FOLD_SIG with ``Not``, ``Forall``
+    and equalities, ``x = x`` among them.
+
+    Conjunctions and disjunctions join parts over different subsets of the
+    variables in scope, so a quantifier above them has parts that do not
+    mention its variable.  Quantifiers reuse names, so inner ones shadow
+    outer ones, and some bind a variable their body does not use.  Some
+    parts occur twice in their parent as one node.
+    """
+    pool = [f"w{i}" for i in range(1, max_vars + 1)]
+
+    def leaf(scope):
+        x = rng.choice(scope)
+        roll = rng.random()
+        if roll < 0.1:
+            return q.Equality(x, x if rng.random() < 0.4 else rng.choice(scope))
+        if roll < 0.45:
+            return q.Atom(rng.choice("PQ"), (x,))
+        return q.Atom(rng.choice("EF"), (x, rng.choice(scope)))
+
+    def gen(depth, scope):
+        roll = rng.random()
+        if not scope or (depth > 0 and roll < 0.3):
+            v = rng.choice(pool)
+            kind = q.Exists if rng.random() < 0.6 else q.Forall
+            others = [x for x in scope if x != v]
+            inner = others if others and rng.random() < 0.2 else sorted(set(scope) | {v})
+            return kind(v, gen(depth - 1, inner))
+        if depth <= 0:
+            return leaf(scope)
+        kind = q.And if roll < 0.6 else q.Or
+        parts = [gen(depth - 1, rng.sample(scope, rng.randint(1, len(scope))))
+                 for _ in range(rng.randint(2, 3))]
+        if rng.random() < 0.25:
+            parts.append(q.Not(parts.pop()))
+        if rng.random() < 0.2:  # one node, two occurrences
+            parts.append(parts[0])
+        return kind(tuple(parts))
+
+    sentence = gen(max_depth, sorted(rng.sample(pool, rng.randint(1, max_vars))))
+    for v in sorted(q.free_variables(sentence)):
+        sentence = (q.Exists if rng.random() < 0.6 else q.Forall)(v, sentence)
+    return sentence
+
+
 def random_pp_formula(rng, signature, max_vars=3, max_depth=3):
     """A closed primitive positive sentence, occasionally with equality atoms."""
     pool = [f"w{i}" for i in range(1, max_vars + 1)]
@@ -820,7 +890,42 @@ def _bottom_up_eval_kvar(phi, b, k, stats, max_rows, filter_or):
         raise q.FragmentError("a closed sentence is required")
     evaluate._check_symbols(phi, b)
     run = evaluate._KvarRun(b, max_rows, _free_sets(q.subformulas(phi)))
-    join, expand, complement = evaluate._join, evaluate._expand, evaluate._complement
+    expand, complement = evaluate._expand, evaluate._complement
+
+    def join(va, ra, vb, rb):
+        # Natural join over the sorted union of the variables, through a
+        # fresh index of rb on the shared variables; when one side's
+        # variables lie within the other's, it only filters.
+        run.joins += 1
+        if set(va) < set(vb):
+            va, ra, vb, rb = vb, rb, va, ra
+        shared = [v for v in va if v in vb]
+        if len(shared) == len(vb):
+            return run.built(va, {row for row in ra
+                                  if tuple(row[va.index(v)] for v in vb) in rb})
+        index = {}
+        for row in rb:
+            index.setdefault(tuple(row[vb.index(v)] for v in shared), []).append(row)
+        out_vars = tuple(sorted(set(va) | set(vb)))
+        out = set()
+        for row in ra:
+            for match in index.get(tuple(row[va.index(v)] for v in shared), ()):
+                value = dict(zip(va, row))
+                value.update(zip(vb, match))
+                out.add(tuple(value[v] for v in out_vars))
+                if len(out) > max_rows:
+                    raise q.LimitExceeded("bounded-variable relation size", max_rows)
+        return run.built(out_vars, out)
+
+    def greedy_join(parts):
+        # From the smallest part, join in the part sharing the most variables
+        # with the result, the smaller on ties, until the result is empty.
+        parts = sorted(parts, key=lambda p: len(p[1]))
+        va, ra = parts.pop(0)
+        while parts and ra:
+            best = max(range(len(parts)), key=lambda i: len(set(va).intersection(parts[i][0])))
+            va, ra = join(va, ra, *parts.pop(best))
+        return va, ra
 
     def filtered(f, part):
         vb, rest = part
@@ -863,14 +968,14 @@ def _bottom_up_eval_kvar(phi, b, k, stats, max_rows, filter_or):
                 unmerged = []
                 for vb, rb in pending:
                     if ra and (set(va) <= set(vb) or set(vb) <= set(va)):
-                        va, ra = join(va, ra, vb, rb, run)
+                        va, ra = join(va, ra, vb, rb)
                     else:
                         unmerged.append((vb, rb))
                 if not ra:
                     break
                 pending = unmerged + [(va, ra)]
             else:
-                va, ra = evaluate._greedy_join(pending, run)[0]
+                va, ra = greedy_join(pending)
             if not ra:
                 va = tuple(sorted(run.free[id(f)]))
         elif kind is q.Or:

@@ -7,10 +7,11 @@ import pytest
 
 import epquery as q
 from epquery import homomorphism
-from epquery.formulas import _free_sets
+from epquery.formulas import _free_sets, walk
 from epquery.normalize import _members
 from helpers import (
     E2,
+    FOLD_SIG,
     FO_SIG,
     UNION_SIG,
     cnf_satisfiable,
@@ -22,6 +23,8 @@ from helpers import (
     padded_or_eval_kvar,
     random_ep_formula,
     random_cnf,
+    random_foldable_sentence,
+    random_foldable_structure,
     random_fo_sentence,
     random_structure,
     random_union_sentence,
@@ -319,7 +322,101 @@ def test_eval_naive_frames_stay_few_under_shadowing(monkeypatch):
     monkeypatch.setattr(evaluate, "_truth", counted)
     assert not q.eval_naive(f, b)
     assert q.eval_naive(q.Exists("y", g), b)
-    assert frames["all"] == 239 + 202
+    assert frames["all"] == 239 + 86
+
+
+def test_eval_naive_frames_on_the_unsat_cnf_stay_few_in_every_mode(monkeypatch):
+    # The prenex walk decided the clauses again at each of the 2 ** 11 full
+    # assignments: 18,791, 19,129 and 18,791 frames.  Specialized, each
+    # clause is decided once its own variables are bound.
+    frames = collections.Counter()
+    real = evaluate._truth
+
+    def counted(*args):
+        frames["all"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(evaluate, "_truth", counted)
+    for mode, arity in (("two-symbols", 2), ("single-symbol", 3), ("unary", 2)):
+        frames.clear()
+        inst = q.reduce_sat(_unsat_cnf_11(), mode, arity)
+        assert not q.eval_naive(inst.sentence, inst.structure)
+        assert frames["all"] <= 500, mode
+
+
+def _specialized(phi, b):
+    return walk(evaluate._specialized(phi, b, {}))[0]
+
+
+def _leaves(f):
+    return sum(type(g) is q.Atom or type(g) is q.Equality for g in q.subformulas(f))
+
+
+def _movable(f):
+    # Quantifiers over a conjunction (a disjunction, for forall) with parts
+    # that mention the quantified variable and parts that do not.
+    free = _free_sets(q.subformulas(f))
+    scoped = {q.Exists: q.And, q.Forall: q.Or}
+    return sum(1 for g in q.subformulas(f) if type(g) in scoped
+               and type(g.child) is scoped[type(g)]
+               and len({g.var in free[id(c)] for c in g.child.children}) == 2)
+
+
+def test_eval_naive_specializes_like_the_plain_walk():
+    # Each sentence against a structure with empty, full and nearly full
+    # relations and against one where folding is rarer.  With nothing
+    # folded, a quantifier that no longer has parts both with and without
+    # its variable below it was moved.
+    rng = random.Random(151)
+    seen = collections.Counter()
+    for _ in range(400):
+        phi = random_foldable_sentence(rng)
+        for b in (random_foldable_structure(rng), random_structure(rng, FOLD_SIG, 3)):
+            expected = memo_every_node_eval_naive(phi, b)
+            assert q.eval_naive(phi, b) == expected
+            seen[expected] += 1
+            spec = _specialized(phi, b)
+            if type(spec) is bool:
+                assert spec == expected
+                seen["decided"] += 1
+                continue
+            assert _movable(spec) == 0
+            folded = _leaves(spec) < _leaves(phi)
+            seen["folded"] += folded
+            seen["moved"] += not folded and _movable(phi) > 0
+            ids = [id(g) for g in q.subformulas(spec) if q.children(g)]
+            seen["shared"] += len(set(ids)) < len(ids)
+    assert min(seen[True], seen[False]) >= 200
+    assert min(seen[name] for name in ("decided", "folded", "moved", "shared")) >= 25
+
+
+def test_eval_naive_specialized_shapes():
+    sig = q.Signature([q.RelationSymbol("P", 1), q.RelationSymbol("E", 2)])
+    b = q.Structure(sig, ("a", "b"), {"P": {("a",)}, "E": {("a", "b")}})
+    # the conjunct without x moves in front, in its order
+    phi = q.parse_formula("exists y . exists x . (P(y) & E(x,y) & E(y,y) & x = x)")
+    inner = q.Exists("x", q.Atom("E", ("x", "y")))
+    body = q.And((q.Atom("P", ("y",)), q.Atom("E", ("y", "y")), inner))
+    assert _specialized(phi, b) == q.Exists("y", body)
+    # not over a folded part; on one element P is full, so True decides it
+    phi = q.parse_formula("forall x . (P(x) | (not (exists y . (E(x,y) & y = y))) | E(x,x))")
+    negated = q.Not(q.Exists("y", q.Atom("E", ("x", "y"))))
+    assert _specialized(phi, b) == q.Forall("x", q.Or((
+        q.Atom("P", ("x",)), negated, q.Atom("E", ("x", "x")))))
+    one = q.Structure(sig, ("a",), {"P": {("a",)}, "E": set()})
+    assert _specialized(phi, one) is True
+    # forall moves below the disjuncts without its variable
+    phi = q.parse_formula("exists z . forall x . (P(z) | E(x,z))")
+    assert _specialized(phi, b) == q.Exists("z", q.Or((
+        q.Atom("P", ("z",)), q.Forall("x", q.Atom("E", ("x", "z"))))))
+    # a tuple outside the universe does not make a relation full
+    stray = q.Structure(sig, ("a", "b"), {"P": {("a",), ("c",)}})
+    phi = q.parse_formula("forall x . P(x)")
+    assert _specialized(phi, stray) is phi and not q.eval_naive(phi, stray)
+    # an unchanged node that occurs twice comes back as one node
+    g = q.Exists("x", q.And((q.Atom("P", ("x",)), q.Atom("E", ("x", "x")))))
+    twice = _specialized(q.Or((g, g)), b)
+    assert twice.children[0] is twice.children[1] is g
 
 
 def test_naive_and_kvar_match_their_references_on_random_fo(monkeypatch):

@@ -22,6 +22,10 @@ UNIONS = q.parse_formula("exists x . exists y . exists z . (E(x,y) & (E(y,z) | E
 COVERED = q.parse_formula("exists x . exists y . ((P(x) | E(x,y)) & (E(y,x) | P(y)))")
 B_P = q.Structure(q.Signature([q.RelationSymbol("P", 1), q.RelationSymbol("E", 2)]),
                   ("a", "b", "c"), {"P": {("a",)}, "E": {("a", "b"), ("b", "c")}})
+# unary mode leaves most slots of a clause empty, and each quantifier moves
+# below the clauses without its variable
+SAT = q.reduce_sat(q.CnfFormula(4, (frozenset({1, -2, 3}), frozenset({-1, 2, 4}),
+                                    frozenset({2, 3, -4}))), "unary")
 PP = q.parse_formula("exists x . exists y . exists z . (E(x,y) & E(y,z) & x = z)")
 PP_STRUCT = q.structure_of_pp(PP)
 # minor-min-width 3, min-fill 4: treewidth_exact runs the decision search too
@@ -32,6 +36,7 @@ FALLBACK = digraph([f"v{i}" for i in range(7)], {
 
 CALLS = {
     "eval_naive": lambda: q.eval_naive(PHI, B),
+    "eval_naive_specialized": lambda: q.eval_naive(SAT.sentence, SAT.structure),
     "eval_kvar": lambda: q.eval_kvar(PHI, B, 3),
     "eval_kvar_covered_or": lambda: q.eval_kvar(COVERED, B_P, 2),
     "eval_dnf_hom": lambda: q.eval_dnf_hom(PHI, B),
