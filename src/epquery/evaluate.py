@@ -177,11 +177,14 @@ def _full(rows, universe, arity):
 
 
 def _reusable(phi, free):
-    # id -> key maker, for each node whose cached verdict a later visit can read
+    # id -> key maker, for each compound node whose cached verdict a later
+    # visit can read; atoms and equalities are decided in their parent's loop
     seen, reusable = set(), {}
     stack = [(phi, 0)]
     while stack:
         g, above = stack.pop()
+        if type(g) is Atom or type(g) is Equality:
+            continue
         if id(g) in seen or len(free[id(g)]) < above:
             reusable[id(g)] = _columns(sorted(free[id(g)]))
         seen.add(id(g))
@@ -327,8 +330,14 @@ def _complement(va, ra, run):
 def eval_kvar(phi, b, k, *, stats=None, max_rows=MAX_ROWS):
     """Bottom-up evaluation computing satisfying assignments per subformula.
 
-    Each intermediate relation ranges over the free variables of its
-    subformula, so its arity never exceeds k.  A subformula may be evaluated
+    Each intermediate relation ranges over at most the free variables of
+    its subformula, so its arity never exceeds k.  A free variable a
+    relation leaves out is unconstrained: every join, projection and
+    complement above treats its column as the whole universe, which is
+    exact because the universe must not be empty.  An ``Or``'s relation
+    ranges over the variables of its non-empty disjuncts only; an empty
+    disjunct adds no row, so it is dropped before the others are padded to
+    those variables.  A subformula may be evaluated
     against a context: rows over some of its free variables that an ancestor
     can extend, so that it builds only rows agreeing with one of them (a
     semijoin passed down, as in Yannakakis, VLDB 1981, and the magic sets of
@@ -346,7 +355,7 @@ def eval_kvar(phi, b, k, *, stats=None, max_rows=MAX_ROWS):
     - an ``Or`` child whose free variables lie within those of a pending
       part filters the smallest such part: it keeps the part's rows on which
       some disjunct holds, so that ``Or`` is never padded to its variables;
-      any other ``Or`` is padded, with no context;
+      any other ``Or`` is padded as above, with no context;
     - a child's relation whose variables contain, or lie within, those of a
       pending part is joined with it at once, which only filters;
     - at the first empty part the conjunction is empty, and its remaining
@@ -376,6 +385,8 @@ def eval_kvar(phi, b, k, *, stats=None, max_rows=MAX_ROWS):
     if not info.closed:
         raise FragmentError("a closed sentence is required")
     _check_symbols(phi, b)
+    if not b.universe:
+        raise EpqError("evaluation needs a non-empty universe")
     run = _KvarRun(b, max_rows, _free_sets(subformulas(phi)))
     vars_final, rows = walk(_relation(phi, run))
     if stats is not None:
@@ -438,10 +449,13 @@ def _relation(f, run, context=None):
         if not ra:
             va = tuple(sorted(run.free[id(f)]))
     elif kind is Or:
+        # an empty disjunct adds no row, so it adds no variable either
         parts = []
         for c in f.children:
             part = context and _project(context, run.free[id(c)])
-            parts.append((yield _relation(c, run, part)))
+            vc, rc = yield _relation(c, run, part)
+            if rc:
+                parts.append((vc, rc))
         va = tuple(sorted(set().union(*(set(v) for v, _ in parts))))
         ra = set()
         for vc, rc in parts:

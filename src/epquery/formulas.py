@@ -19,6 +19,7 @@ the induced structure.  Entailment, which needs homomorphisms, is in
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, fields
 
@@ -305,125 +306,129 @@ def classify(f):
     )
 
 
-_IDENT_RE = re.compile(r"[A-Za-z0-9_^@']+")
+# One match per token: a comment up to the next line break (any that
+# ``str.splitlines`` knows), an identifier, or any other non-space character.
+_TOKEN_RE = re.compile(r"#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*|[A-Za-z0-9_^@']+|\S")
+_STRAY_RE = re.compile(r"[^\sA-Za-z0-9_^@'#(),.=&|]")
 _KEYWORDS = frozenset({"exists", "forall", "not"})
-_PUNCT = "(),.=&|"
+_PUNCT = frozenset("(),.=&|")
 
 
 def _tokenize(text):
-    tokens = []
-    lineno = 1
-    for lineno, raw in enumerate(text.splitlines() or [""], start=1):
-        line = raw.split("#", 1)[0]
-        col = 0
-        while col < len(line):
-            ch = line[col]
-            if ch.isspace():
-                col += 1
-                continue
-            m = _IDENT_RE.match(line, col)
-            if m:
-                tokens.append(("ident", m.group(), lineno, col + 1))
-                col = m.end()
-                continue
-            if ch in _PUNCT:
-                tokens.append((ch, ch, lineno, col + 1))
-                col += 1
-                continue
-            raise ParseError(f"unexpected character {ch!r}", lineno, col + 1)
-    tokens.append(("end", "", lineno, 1))
+    # The tokens as plain strings, comments dropped, then "" for the end.  A
+    # character outside the grammar is reported where it first occurs
+    # outside a comment, before any token is parsed.
+    if _STRAY_RE.search(text):
+        for m in _TOKEN_RE.finditer(text):
+            if _STRAY_RE.match(m.group()):
+                raise ParseError(f"unexpected character {m.group()!r}", *_line_column(text, m.start()))
+    tokens = _TOKEN_RE.findall(text)
+    if "#" in text:
+        tokens = [tok for tok in tokens if tok[0] != "#"]
+    tokens.append("")
     return tokens
 
 
+def _line_column(text, offset):
+    lines = (text[:offset] + "x").splitlines()
+    return len(lines), len(lines[-1])
+
+
 class _Parser:
-    def __init__(self, tokens, signature):
-        self.tokens = tokens
+    def __init__(self, text, signature):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.signature = signature
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def error(self, message, index):
+        # Positions are worked out only here, by scanning the text again up
+        # to token ``index``; the end is on the last line, at column 1.
+        found = (m for m in _TOKEN_RE.finditer(self.text) if m.group()[0] != "#")
+        m = next(itertools.islice(found, index, None), None)
+        if m is None:
+            return ParseError(message, max(len(self.text.splitlines()), 1), 1)
+        return ParseError(message, *_line_column(self.text, m.start()))
 
-    def take(self):
-        tok = self.tokens[self.pos]
+    def expect(self, tok):
+        found = self.tokens[self.pos]
         self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.take()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2], tok[3])
-        return tok
+        if found != tok:
+            raise self.error(f"expected {tok!r}, found {found!r}", self.pos - 1)
 
     def identifier(self, role):
-        tok = self.take()
-        if tok[0] != "ident":
-            raise ParseError(f"expected a {role} name, found {tok[1]!r}", tok[2], tok[3])
-        if tok[1] in _KEYWORDS:
-            raise ParseError(f"keyword {tok[1]!r} cannot be used as a {role} name", tok[2], tok[3])
-        return tok[1]
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        if not tok or tok in _PUNCT:
+            raise self.error(f"expected a {role} name, found {tok!r}", self.pos - 1)
+        if tok in _KEYWORDS:
+            raise self.error(f"keyword {tok!r} cannot be used as a {role} name", self.pos - 1)
+        return tok
 
-    # formula and unit are generators run by ``walk``.
+    # A generator run by ``walk``: a quantifier, 'not' or '(' group takes a
+    # frame, and an atom or equality is read inline.
     def formula(self):
-        kind, value, _, _ = self.peek()
-        if kind == "ident" and value in ("exists", "forall"):
-            self.take()
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        if tok == "exists" or tok == "forall":
+            self.pos += 1
             var = self.identifier("variable")
             self.expect(".")
             body = yield self.formula()
-            return Exists(var, body) if value == "exists" else Forall(var, body)
-        if kind == "ident" and value == "not":
-            self.take()
+            return Exists(var, body) if tok == "exists" else Forall(var, body)
+        if tok == "not":
+            self.pos += 1
             return Not((yield self.formula()))
         # '&' binds tighter than '|': one list of units per disjunct
-        disjuncts = [[(yield self.unit())]]
-        while self.peek()[0] in ("&", "|"):
-            if self.take()[0] == "|":
+        disjuncts = [[]]
+        while True:
+            if tokens[self.pos] == "(":
+                self.pos += 1
+                disjuncts[-1].append((yield self.formula()))
+                self.expect(")")
+            else:
+                disjuncts[-1].append(self.atom())
+            tok = tokens[self.pos]
+            if tok == "|":
                 disjuncts.append([])
-            disjuncts[-1].append((yield self.unit()))
-        return disj([conj(units) for units in disjuncts])
+            elif tok != "&":
+                parts = [units[0] if len(units) == 1 else conj(units) for units in disjuncts]
+                return parts[0] if len(parts) == 1 else disj(parts)
+            self.pos += 1
 
-    def unit(self):
-        kind, value, line, col = self.peek()
-        if kind == "(":
-            self.take()
-            inner = yield self.formula()
-            self.expect(")")
-            return inner
+    def atom(self):
+        start = self.pos
         name = self.identifier("predicate or variable")
-        kind = self.peek()[0]
-        if kind == "(":
-            self.take()
-            args = [self.identifier("variable")]
-            while self.peek()[0] == ",":
-                self.take()
-                args.append(self.identifier("variable"))
-            self.expect(")")
-            if self.signature is not None:
-                if name not in self.signature:
-                    raise ParseError(f"unknown relation symbol {name!r}", line, col)
-                if self.signature.arity(name) != len(args):
-                    raise ParseError(
-                        f"symbol {name!r} has arity {self.signature.arity(name)}, got {len(args)} arguments",
-                        line,
-                        col,
-                    )
-            return Atom(name, tuple(args))
-        if kind == "=":
-            self.take()
-            right = self.identifier("variable")
-            return Equality(name, right)
-        tok = self.peek()
-        raise ParseError(f"expected '(' or '=' after {name!r}", tok[2], tok[3])
+        tok = self.tokens[self.pos]
+        if tok == "=":
+            self.pos += 1
+            return Equality(name, self.identifier("variable"))
+        if tok != "(":
+            raise self.error(f"expected '(' or '=' after {name!r}", self.pos)
+        self.pos += 1
+        args = [self.identifier("variable")]
+        while self.tokens[self.pos] == ",":
+            self.pos += 1
+            args.append(self.identifier("variable"))
+        self.expect(")")
+        if self.signature is not None:
+            if name not in self.signature:
+                raise self.error(f"unknown relation symbol {name!r}", start)
+            if self.signature.arity(name) != len(args):
+                raise self.error(
+                    f"symbol {name!r} has arity {self.signature.arity(name)}, got {len(args)} arguments",
+                    start,
+                )
+        return Atom(name, tuple(args))
 
 
 def parse_formula(text, signature=None):
     """Parse a formula in the module grammar; raises ParseError with position."""
-    parser = _Parser(_tokenize(text), signature)
+    parser = _Parser(text, signature)
     formula = walk(parser.formula())
-    trailing = parser.peek()
-    if trailing[0] != "end":
-        raise ParseError(f"unexpected trailing input {trailing[1]!r}", trailing[2], trailing[3])
+    trailing = parser.tokens[parser.pos]
+    if trailing:
+        raise parser.error(f"unexpected trailing input {trailing!r}", parser.pos)
     return formula
 
 

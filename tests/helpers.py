@@ -8,19 +8,20 @@ assignment.  The reference versions at the end (``restart_core``,
 ``table_treewidth_exact``, ``flat_eval_dnf_hom``,
 ``renaming_structure_and_unions``, ``dfs_validate_decomposition``,
 ``per_tuple_constraints``, ``lifo_propagate``, ``per_tuple_search``,
-``memo_every_node_eval_naive``, ``padded_or_eval_kvar`` and
-``compound_first_eval_kvar``) do use the library: they are the earlier,
-plainer control flow of ``core`` (two), ``m_normalize``,
-``treewidth_upper``, ``treewidth_exact``, ``eval_dnf_hom``,
-``formulas._structure_and_unions``, ``validate_decomposition``,
-``homomorphism._constraints``, ``homomorphism._propagate``,
-``find_homomorphism``, ``eval_naive`` and ``eval_kvar`` (two), kept to pin
-their outputs.
+``memo_every_node_eval_naive``, ``padded_or_eval_kvar``,
+``compound_first_eval_kvar`` and ``reference_parse_formula``) do use the
+library: they are the earlier, plainer control flow of ``core`` (two),
+``m_normalize``, ``treewidth_upper``, ``treewidth_exact``,
+``eval_dnf_hom``, ``formulas._structure_and_unions``,
+``validate_decomposition``, ``homomorphism._constraints``,
+``homomorphism._propagate``, ``find_homomorphism``, ``eval_naive``,
+``eval_kvar`` (two) and ``parse_formula``, kept to pin their outputs.
 """
 
 import importlib
 import itertools
 import random
+import re
 
 import epquery as q
 from epquery import homomorphism
@@ -1006,3 +1007,124 @@ def _bottom_up_eval_kvar(phi, b, k, stats, max_rows, filter_or):
         stats.update(max_arity=run.widest, joins=run.joins, rows_max=run.rows_max)
     assert vars_final == ()
     return bool(rows)
+
+
+_IDENT_RE = re.compile(r"[A-Za-z0-9_^@']+")
+_KEYWORDS = frozenset({"exists", "forall", "not"})
+
+
+def reference_parse_formula(text, signature=None):
+    """Reference ``parse_formula``: a line-by-line tokenizer that records
+    each token's line and column, and a parser with one walker frame per
+    unit, atoms and equalities included."""
+    parser = _ReferenceParser(_reference_tokenize(text), signature)
+    formula = walk(parser.formula())
+    trailing = parser.peek()
+    if trailing[0] != "end":
+        raise q.ParseError(f"unexpected trailing input {trailing[1]!r}", trailing[2], trailing[3])
+    return formula
+
+
+def _reference_tokenize(text):
+    tokens = []
+    lineno = 1
+    for lineno, raw in enumerate(text.splitlines() or [""], start=1):
+        line = raw.split("#", 1)[0]
+        col = 0
+        while col < len(line):
+            ch = line[col]
+            if ch.isspace():
+                col += 1
+                continue
+            m = _IDENT_RE.match(line, col)
+            if m:
+                tokens.append(("ident", m.group(), lineno, col + 1))
+                col = m.end()
+                continue
+            if ch in "(),.=&|":
+                tokens.append((ch, ch, lineno, col + 1))
+                col += 1
+                continue
+            raise q.ParseError(f"unexpected character {ch!r}", lineno, col + 1)
+    tokens.append(("end", "", lineno, 1))
+    return tokens
+
+
+class _ReferenceParser:
+    def __init__(self, tokens, signature):
+        self.tokens = tokens
+        self.pos = 0
+        self.signature = signature
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.take()
+        if tok[0] != kind:
+            raise q.ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2], tok[3])
+        return tok
+
+    def identifier(self, role):
+        tok = self.take()
+        if tok[0] != "ident":
+            raise q.ParseError(f"expected a {role} name, found {tok[1]!r}", tok[2], tok[3])
+        if tok[1] in _KEYWORDS:
+            raise q.ParseError(f"keyword {tok[1]!r} cannot be used as a {role} name", tok[2], tok[3])
+        return tok[1]
+
+    def formula(self):
+        kind, value, _, _ = self.peek()
+        if kind == "ident" and value in ("exists", "forall"):
+            self.take()
+            var = self.identifier("variable")
+            self.expect(".")
+            body = yield self.formula()
+            return q.Exists(var, body) if value == "exists" else q.Forall(var, body)
+        if kind == "ident" and value == "not":
+            self.take()
+            return q.Not((yield self.formula()))
+        disjuncts = [[(yield self.unit())]]
+        while self.peek()[0] in ("&", "|"):
+            if self.take()[0] == "|":
+                disjuncts.append([])
+            disjuncts[-1].append((yield self.unit()))
+        return q.disj([q.conj(units) for units in disjuncts])
+
+    def unit(self):
+        kind, value, line, col = self.peek()
+        if kind == "(":
+            self.take()
+            inner = yield self.formula()
+            self.expect(")")
+            return inner
+        name = self.identifier("predicate or variable")
+        kind = self.peek()[0]
+        if kind == "(":
+            self.take()
+            args = [self.identifier("variable")]
+            while self.peek()[0] == ",":
+                self.take()
+                args.append(self.identifier("variable"))
+            self.expect(")")
+            if self.signature is not None:
+                if name not in self.signature:
+                    raise q.ParseError(f"unknown relation symbol {name!r}", line, col)
+                if self.signature.arity(name) != len(args):
+                    raise q.ParseError(
+                        f"symbol {name!r} has arity {self.signature.arity(name)}, got {len(args)} arguments",
+                        line,
+                        col,
+                    )
+            return q.Atom(name, tuple(args))
+        if kind == "=":
+            self.take()
+            right = self.identifier("variable")
+            return q.Equality(name, right)
+        tok = self.peek()
+        raise q.ParseError(f"expected '(' or '=' after {name!r}", tok[2], tok[3])

@@ -9,14 +9,17 @@ from epquery.formulas import _free_sets, _structure_and_unions
 from epquery.normalize import _disjuncts
 from helpers import (
     E2,
+    FO_SIG,
     UNION_SIG,
     all_structures,
     brute_hom_exists,
     digraph,
     random_ep_formula,
+    random_fo_sentence,
     random_pp_formula,
     random_structure,
     random_union_sentence,
+    reference_parse_formula,
     renaming_structure_and_unions,
 )
 
@@ -58,6 +61,90 @@ def test_parse_reports_position():
 def test_parse_rejects_keyword_variables():
     with pytest.raises(q.ParseError):
         q.parse_formula("exists exists . P(exists)")
+
+
+# Text between tokens: line breaks of every kind ``str.splitlines`` knows,
+# other whitespace, and comments that end at a line break or at the end.
+SEPARATORS = [" ", "  ", "\t", "\n", "\r\n", "\r", "\f", "\u2028", "\u00a0", " # (note $ .\n",
+              "#\n", "# x\r", "\n\n# two\r\n  "]
+TOKEN_RE = re.compile(r"[A-Za-z0-9_^@']+|\S")
+
+
+def _outcome(parse, text, signature):
+    # The AST, or the error's message, line and column.
+    try:
+        return parse(text, signature)
+    except q.ParseError as err:
+        return (str(err), err.line, err.column)
+
+
+def _respaced(rng, tokens):
+    # The tokens with random separators; none between two that would merge.
+    out = [rng.choice(SEPARATORS) if rng.random() < 0.3 else ""]
+    for a, b in zip(tokens, tokens[1:]):
+        out.append(a)
+        merging = TOKEN_RE.fullmatch(a + b) is not None
+        out.append(rng.choice(SEPARATORS) if merging or rng.random() < 0.5 else "")
+    out.append(tokens[-1])
+    if rng.random() < 0.3:
+        out.append(rng.choice(SEPARATORS + ["# trailing"]))
+    return "".join(out)
+
+
+def test_parse_formula_matches_the_reference_parser():
+    rng = random.Random(163)
+    for i in range(300):
+        if i % 2:
+            f, sig = random_ep_formula(rng, EPQ_SIG), EPQ_SIG
+        else:
+            f, sig = random_fo_sentence(rng), FO_SIG
+        rendered = q.render(f)
+        expected = reference_parse_formula(rendered)  # nested Ors and Ands come back flat
+        text = _respaced(rng, TOKEN_RE.findall(rendered))
+        assert q.parse_formula(text) == reference_parse_formula(text) == expected
+        assert q.parse_formula(text, sig) == expected
+
+
+MALFORMED = [
+    "exists x . P($)", "P(x) @@ Q(x)", "P(x) & @@", "P(x)) $", "# $ in a comment\nP(x) $",
+    "P(x) &\r\n  $", "P(x)\r&\r$", "\tP(\u00e9)", "P(x)\f|\u2028 Q(x) ~",
+    "exists exists . P(x)", "exists x . not(x)", "P(forall)", "P(x, not)", "not = x",
+    "(P(x) & Q(x)", "exists x . (P(x)\n", "((P(x))", "P(x", "P(x,",
+    "P(x) Q(x)", "P(x))", "x = y z", "E(x,y) | P(x) .",
+    "exists x . R(x)", "exists x .\n  E(x)", "P(x,y) & Q(x)", "exists x . (P(x) | P(x,x))",
+    "exists x P(x)", "forall x\n P(x)", "exists . P(x)", "exists x ,",
+    "", "   \n\n", "# only a comment\n", "#a\n#b", "P(x)\n# done\n", "x", "x =", "=",
+    "&P(x)", "P(x) |", "P()", "P(x,)", "not", "exists", "(", ")", "P(x)\r\n\r\n&",
+]
+
+
+def test_parse_errors_match_the_reference_parser():
+    # Message, line and column, with and without a signature, on malformed
+    # texts and on valid sentences with one token deleted, inserted or cut.
+    texts = list(MALFORMED)
+    rng = random.Random(167)
+    pool = ["(", ")", ".", ",", "&", "|", "=", "$", "not", "exists", "x", "P", "#c\n", "\n"]
+    for _ in range(300):
+        tokens = TOKEN_RE.findall(q.render(random_ep_formula(rng, EPQ_SIG)))
+        at = rng.randrange(len(tokens))
+        roll = rng.random()
+        if roll < 0.4:
+            del tokens[at]
+        elif roll < 0.8:
+            tokens.insert(at, rng.choice(pool))
+        else:
+            tokens = tokens[:at]
+        if tokens:
+            texts.append(_respaced(rng, tokens))
+    errors = 0
+    for text in texts:
+        for sig in (None, EPQ_SIG):
+            expected = _outcome(reference_parse_formula, text, sig)
+            assert _outcome(q.parse_formula, text, sig) == expected, text
+            errors += type(expected) is tuple
+    assert errors >= 400
+    # a comment-only text ends on its first line, where the reference puts it
+    assert _outcome(q.parse_formula, "# only a comment\n", None)[1:] == (1, 1)
 
 
 def test_render_examples():
