@@ -66,6 +66,15 @@ def _check_symbols(phi, b):
                 )
 
 
+def _check_sentence(phi, b, closed):
+    # What eval_naive and eval_kvar require of their input, in this order.
+    if not closed:
+        raise FragmentError("a closed sentence is required")
+    _check_symbols(phi, b)
+    if not b.universe:
+        raise EpqError("evaluation needs a non-empty universe")
+
+
 def eval_naive(phi, b, *, max_work=MAX_WORK):
     """Truth of a closed formula by a walk over variable assignments.
 
@@ -89,13 +98,8 @@ def eval_naive(phi, b, *, max_work=MAX_WORK):
     equalities are decided in their parent's loop, without a walker frame.
     """
     free = _free_sets(subformulas(phi))
-    if free[id(phi)]:
-        raise FragmentError("a closed sentence is required")
-    _check_symbols(phi, b)
-    size = len(b.universe)
-    if size == 0:
-        raise EpqError("evaluation needs a non-empty universe")
-    if size ** max(map(len, free.values())) > max_work:
+    _check_sentence(phi, b, not free[id(phi)])
+    if len(b.universe) ** max(map(len, free.values())) > max_work:
         raise LimitExceeded("naive evaluation work estimate", max_work)
     free = {}
     phi, _ = walk(_specialized(phi, b, free))
@@ -337,20 +341,19 @@ def eval_kvar(phi, b, k, *, stats=None, max_rows=MAX_ROWS):
     exact because the universe must not be empty.  An ``Or``'s relation
     ranges over the variables of its non-empty disjuncts only; an empty
     disjunct adds no row, so it is dropped before the others are padded to
-    those variables.  A subformula may be evaluated
-    against a context: rows over some of its free variables that an ancestor
-    can extend, so that it builds only rows agreeing with one of them (a
-    semijoin passed down, as in Yannakakis, VLDB 1981, and the magic sets of
-    Bancilhon, Maier, Sagiv and Ullman, PODS 1986).  ``Exists`` passes its
-    context to its child, ``Or`` passes each disjunct the context's
-    projection onto that disjunct's variables, ``Not`` and ``Forall`` pass
-    none, and atoms and equalities ignore it.  A conjunction is planned:
+    those variables.  An ``Exists`` child of a conjunction is evaluated
+    against a context: rows over some of its free variables that the
+    conjunction can extend, so that it builds only rows agreeing with one of
+    them (a semijoin passed down, as in Yannakakis, VLDB 1981, and the magic
+    sets of Bancilhon, Maier, Sagiv and Ullman, PODS 1986).  The ``Exists``
+    passes it on to its body, where a conjunction joins it as one of its
+    parts, and any other node ignores it.  A conjunction is planned:
 
     - its context and its atoms and equalities are joined first, greedily as
       below, but only parts that share a variable, so no cross product is
       formed;
-    - its compound children are then evaluated in order.  An ``Exists`` or
-      ``And`` child gets as its context the smallest pending part sharing a
+    - its compound children are then evaluated in order.  An ``Exists``
+      child gets as its context the smallest pending part sharing a
       variable with it, projected onto the child's free variables;
     - an ``Or`` child whose free variables lie within those of a pending
       part filters the smallest such part: it keeps the part's rows on which
@@ -382,11 +385,7 @@ def eval_kvar(phi, b, k, *, stats=None, max_rows=MAX_ROWS):
     info = classify(phi)
     if info.variables > k:
         raise FragmentError(f"sentence uses {info.variables} variables, more than k={k}")
-    if not info.closed:
-        raise FragmentError("a closed sentence is required")
-    _check_symbols(phi, b)
-    if not b.universe:
-        raise EpqError("evaluation needs a non-empty universe")
+    _check_sentence(phi, b, info.closed)
     run = _KvarRun(b, max_rows, _free_sets(subformulas(phi)))
     vars_final, rows = walk(_relation(phi, run))
     if stats is not None:
@@ -452,8 +451,7 @@ def _relation(f, run, context=None):
         # an empty disjunct adds no row, so it adds no variable either
         parts = []
         for c in f.children:
-            part = context and _project(context, run.free[id(c)])
-            vc, rc = yield _relation(c, run, part)
+            vc, rc = yield _relation(c, run)
             if rc:
                 parts.append((vc, rc))
         va = tuple(sorted(set().union(*(set(v) for v, _ in parts))))
@@ -526,9 +524,9 @@ def _greedy_join(parts, run, cross=True):
 
 
 def _context(f, pending, run):
-    # What an Exists or And child of a conjunction is evaluated against: the
+    # What an Exists child of a conjunction is evaluated against: the
     # smallest pending part sharing a variable with it, projected onto those.
-    if type(f) is not Exists and type(f) is not And:
+    if type(f) is not Exists:
         return None
     free = run.free[id(f)]
     sharing = [p for p in pending if free.intersection(p[0])]
@@ -537,13 +535,12 @@ def _context(f, pending, run):
 
 
 def _project(part, keep):
-    # The part's rows on its variables in ``keep``; None when it has none.
+    # The part's rows on its variables in ``keep``, which holds one or more.
     va, ra = part
     positions = [i for i, v in enumerate(va) if v in keep]
     if len(positions) == len(va):
         return part
-    pick = _columns(positions)
-    return (tuple(va[i] for i in positions), set(map(pick, ra))) if positions else None
+    return tuple(va[i] for i in positions), set(map(_columns(positions), ra))
 
 
 def eval_dnf_hom(phi, b, *, max_disjuncts=MAX_DISJUNCTS, max_nodes=MAX_NODES, stats=None):

@@ -19,7 +19,6 @@ the induced structure.  Entailment, which needs homomorphisms, is in
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, fields
 
@@ -315,13 +314,7 @@ _PUNCT = frozenset("(),.=&|")
 
 
 def _tokenize(text):
-    # The tokens as plain strings, comments dropped, then "" for the end.  A
-    # character outside the grammar is reported where it first occurs
-    # outside a comment, before any token is parsed.
-    if _STRAY_RE.search(text):
-        for m in _TOKEN_RE.finditer(text):
-            if _STRAY_RE.match(m.group()):
-                raise ParseError(f"unexpected character {m.group()!r}", *_line_column(text, m.start()))
+    # The tokens as plain strings, comments dropped, then "" for the end.
     tokens = _TOKEN_RE.findall(text)
     if "#" in text:
         tokens = [tok for tok in tokens if tok[0] != "#"]
@@ -329,26 +322,26 @@ def _tokenize(text):
     return tokens
 
 
-def _line_column(text, offset):
-    lines = (text[:offset] + "x").splitlines()
-    return len(lines), len(lines[-1])
-
-
 class _Parser:
     def __init__(self, text, signature):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = tokens = _tokenize(text)
         self.pos = 0
         self.signature = signature
+        if _STRAY_RE.search(text):  # a character outside the grammar, found before parsing
+            for i, tok in enumerate(tokens):
+                if _STRAY_RE.match(tok):
+                    raise self.error(f"unexpected character {tok!r}", i)
 
     def error(self, message, index):
         # Positions are worked out only here, by scanning the text again up
-        # to token ``index``; the end is on the last line, at column 1.
+        # to token ``index``; the end is just after the last token, if any.
+        offset = 0
         found = (m for m in _TOKEN_RE.finditer(self.text) if m.group()[0] != "#")
-        m = next(itertools.islice(found, index, None), None)
-        if m is None:
-            return ParseError(message, max(len(self.text.splitlines()), 1), 1)
-        return ParseError(message, *_line_column(self.text, m.start()))
+        for i, m in zip(range(index + 1), found):
+            offset = m.start() if i == index else m.end()
+        lines = (self.text[:offset] + "x").splitlines()
+        return ParseError(message, len(lines), len(lines[-1]))
 
     def expect(self, tok):
         found = self.tokens[self.pos]

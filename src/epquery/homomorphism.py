@@ -24,8 +24,8 @@ the source tuple's repetition pattern.
   assignment.
 - Sources that ``_link_shared`` linked (``m_normalize`` links the flattened
   disjuncts of a sentence when there are three or more) share the
-  substructure of the tuples they all hold.  A target computes that
-  substructure's root fixpoint once, and a wipe-out there refutes every
+  substructure of the tuples they all hold.  It keeps its root fixpoint
+  in each target, computed once, and a wipe-out there refutes every
   linked source.  A linked search starts its shared variables at that
   fixpoint and queues only the variables of its other tuples, and those
   that ``fixed`` narrowed, so the shared part is not propagated again per
@@ -75,7 +75,6 @@ returned witness are deterministic.
 
 from __future__ import annotations
 
-import types
 import weakref
 from dataclasses import dataclass
 
@@ -123,9 +122,6 @@ def verify_homomorphism(h):
     return True
 
 
-_NO_ROOTS = types.MappingProxyType({})  # the roots of a target that has none yet
-
-
 class _PreparedTarget:
     """The target-side tables of the search, built once per target structure.
 
@@ -142,9 +138,6 @@ class _PreparedTarget:
         self.size = len(target.universe)
         self.relations = target.relations
         self.keys = {}
-        # shared skeleton -> its root domains here (see ``_shared_root``); weak,
-        # so that a target outliving the linked sources keeps none of them
-        self.roots = _NO_ROOTS
 
     def entry(self, name, pattern):
         key = (name, pattern)
@@ -195,7 +188,7 @@ class _Skeleton:
     the variables here of the tuples outside the substructure).
     """
 
-    __slots__ = ("sindex", "degree", "keys", "link", "__weakref__")
+    __slots__ = ("sindex", "degree", "keys", "link")
 
     def __init__(self, source):
         self.sindex = sindex = {e: i for i, e in enumerate(source.universe)}
@@ -249,9 +242,10 @@ def _skeleton(source):
 def _link_shared(structures):
     """Link the structures to the substructure of the tuples all of them hold.
 
-    Each structure's skeleton links to it when it is built.  No link is
-    made for fewer than three structures, where each target's root would
-    serve a single search, or when they share no tuple.
+    Each structure's skeleton links to it when it is built.  The
+    substructure's ``_roots`` (see ``_shared_root``) dies with them.  No
+    link is made for fewer than three structures, where each target's root
+    would serve a single search, or when they share no tuple.
     """
     if len(structures) < 3:
         return
@@ -262,14 +256,15 @@ def _link_shared(structures):
     if not elements:
         return
     shared = Structure(first.signature, [e for e in first.universe if e in elements], relations)
+    shared.__dict__["_roots"] = weakref.WeakKeyDictionary()
     for s in structures:
         s.__dict__["_shared"] = shared
 
 
 def _shared_root(shared, target, budget):
     """The root fixpoint of a linked substructure in a target, None on a
-    wipe-out; computed on first use and kept in the target's ``roots``,
-    keyed by the substructure's skeleton, as structures are unhashable.
+    wipe-out; computed on first use and kept in the substructure's
+    ``_roots``, weakly keyed by the target's tables (structures are unhashable).
 
     A target that is itself linked to ``shared`` serves as the target of
     every other linked source, so there the root is probed on first use:
@@ -279,17 +274,14 @@ def _shared_root(shared, target, budget):
     a linked source uses it either: every search from this root decides as
     it would from the plain one.  Any other target keeps the plain root.
     """
-    prepared = _prepared(target)
-    key = _skeleton(shared)
-    if key in prepared.roots:
-        return prepared.roots[key]
+    roots, key = shared.__dict__["_roots"], _prepared(target)
+    if key in roots:
+        return roots[key]
     built = _constraints(shared, (), target, None, None)
     root = None if built is None else built[0]
     if root is not None and target.__dict__.get("_shared") is shared:
         root = _probe_all(root, *built[1][:2], budget.tick)
-    if prepared.roots is _NO_ROOTS:
-        prepared.roots = weakref.WeakKeyDictionary()
-    prepared.roots[key] = root
+    roots[key] = root
     return root
 
 

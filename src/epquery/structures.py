@@ -9,6 +9,7 @@ homomorphism, is decided in :mod:`epquery.homomorphism`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import EpqError, ParseError, SignatureMismatch
@@ -22,18 +23,23 @@ class RelationSymbol:
     arity: int
 
 
+# a symbol name: not empty, and no whitespace (as ``str.isspace`` has it), '/' or '#'
+_NAME_RE = re.compile(r"[^\s/#]+")
+
+
 class Signature:
     """An immutable collection of relation symbols with distinct names."""
 
     def __init__(self, symbols=()):
-        ordered = tuple(sorted(set(symbols)))
+        # by name: once names are checked distinct, that is the (name, arity) order
+        ordered = tuple(sorted(set(symbols), key=lambda sym: sym.name))
         names = [sym.name for sym in ordered]
         if len(names) != len(set(names)):
             raise EpqError("signature has duplicate symbol names")
         for sym in ordered:
             if sym.arity < 1:
                 raise EpqError(f"symbol {sym.name!r} has arity {sym.arity}; arity must be >= 1")
-            if not sym.name or any(ch.isspace() for ch in sym.name) or "/" in sym.name or "#" in sym.name:
+            if not _NAME_RE.fullmatch(sym.name):
                 raise EpqError(f"bad symbol name {sym.name!r}")
         self.symbols = ordered
         self._arities = {sym.name: sym.arity for sym in ordered}

@@ -1027,8 +1027,7 @@ def reference_parse_formula(text, signature=None):
 
 def _reference_tokenize(text):
     tokens = []
-    lineno = 1
-    for lineno, raw in enumerate(text.splitlines() or [""], start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         col = 0
         while col < len(line):
@@ -1046,7 +1045,9 @@ def _reference_tokenize(text):
                 col += 1
                 continue
             raise q.ParseError(f"unexpected character {ch!r}", lineno, col + 1)
-    tokens.append(("end", "", lineno, 1))
+    # the end is just after the last token, or at the start of a text with none
+    last = tokens[-1] if tokens else ("", "", 1, 1)
+    tokens.append(("end", "", last[2], last[3] + len(last[1])))
     return tokens
 
 

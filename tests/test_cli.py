@@ -3,8 +3,9 @@ import json
 import pytest
 
 import epquery as q
+from epquery import cli
 from epquery.cli import main
-from helpers import digraph, path_digraph
+from helpers import digraph, path_digraph, triangulated_grid
 
 LOOP = "signature E/2\nuniverse a\ntuple E a a\n"
 EDGE = "signature E/2\nuniverse a b\ntuple E a b\n"
@@ -127,6 +128,34 @@ def test_search_crash_is_an_error_not_a_verdict(tmp_path, capsys):
     assert q.verify_homomorphism(q.Homomorphism(source, target, record["result"]))
 
 
+def test_unexpected_exception_exits_two_never_one(tmp_path, capsys, monkeypatch):
+    # an exception outside EpqError and OSError is a crash, named with its type
+    def broken(path):
+        raise RuntimeError("broken loader")
+
+    monkeypatch.setattr(cli, "_load_structure", broken)
+    (tmp_path / "k4.str").write_text(K4)
+    argv = ["core", "--structure", str(tmp_path / "k4.str")]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "error: RuntimeError: broken loader" in err and "Traceback" in err
+    code, out, _ = _run(capsys, argv + ["--format", "json"])
+    assert code == 2
+    assert json.loads(out) == {"command": "core", "error": "RuntimeError: broken loader",
+                               "limits-hit": []}
+
+
+def test_treewidth_upper_prints_the_min_fill_width(tmp_path, capsys):
+    # the exact limit is past, so only the min-fill route can answer
+    grid = triangulated_grid(3, 4)
+    (tmp_path / "g.str").write_text(q.format_structure(grid))
+    argv = ["treewidth", "--structure", str(tmp_path / "g.str"), "--max-exact-tw", "2"]
+    assert _run(capsys, argv)[0] == 2
+    code, out, _ = _run(capsys, argv + ["--upper"])
+    assert code == 0
+    assert out.strip() == str(q.treewidth_upper(grid)[0])
+
+
 def test_treewidth_witness_validates(tmp_path, capsys):
     (tmp_path / "k4.str").write_text(K4)
     code, out, _ = _run(
@@ -153,6 +182,17 @@ def test_reduce_sat_then_eval_bundle(tmp_path, capsys):
     code, out, _ = _run(capsys, ["eval", "--bundle", str(bundle), "--strategy", "dnf-hom"])
     assert code == 1
     assert out.strip() == "false"
+
+
+def test_reduce_sat_mode_arity(tmp_path, capsys):
+    (tmp_path / "unsat.cnf").write_text(UNSAT_CNF)
+    argv = ["reduce", "sat", "--cnf", str(tmp_path / "unsat.cnf"), "--out", str(tmp_path / "b")]
+    assert _run(capsys, argv + ["--mode", "single-symbol:3"])[0] == 0
+    structure = q.parse_structure((tmp_path / "b" / "structure.str").read_text())
+    assert structure.signature.arity("S") == 3
+    code, out, _ = _run(capsys, argv + ["--mode", "unary:x", "--format", "json"])
+    assert code == 2
+    assert json.loads(out)["error"] == "bad arity in mode 'unary:x'"
 
 
 def test_reduce_ham_bundle(tmp_path, capsys):
@@ -328,6 +368,21 @@ def test_limit_flag_and_env(tmp_path, capsys, monkeypatch):
     )
     assert code == 2
     assert "limit" in err
+
+
+def test_non_integer_limit_and_missing_inputs_are_errors(tmp_path, capsys, monkeypatch):
+    (tmp_path / "s.epq").write_text("exists x . E(x,x)")
+    (tmp_path / "b.str").write_text(LOOP)
+    files = ["--sentence", str(tmp_path / "s.epq"), "--structure", str(tmp_path / "b.str")]
+    monkeypatch.setenv("EPQ_MAX_NODES", "many")
+    code, out, err = _run(capsys, ["eval", *files, "--strategy", "dnf-hom", "--format", "json"])
+    assert code == 2 and "Traceback" not in err
+    assert json.loads(out)["error"] == "environment variable EPQ_MAX_NODES is not an integer: 'many'"
+    monkeypatch.delenv("EPQ_MAX_NODES")
+    for argv in ([], files[:2], files[2:]):
+        code, out, err = _run(capsys, ["eval", *argv])
+        assert (code, out) == (2, "") and "Traceback" not in err
+        assert "eval needs --sentence and --structure (or --bundle)" in err
 
 
 def test_negative_limit_is_rejected(tmp_path, capsys, monkeypatch):

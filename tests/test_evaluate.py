@@ -108,6 +108,37 @@ def test_evaluators_reject_non_formula_nodes():
         q.eval_kvar(junk, b, 1)
 
 
+def test_naive_and_kvar_share_one_precheck():
+    # closed first, then the symbols, then a non-empty universe; kvar checks k before all three
+    loop = digraph(["a"], {("a", "a")})
+    empty = q.Structure(E2, (), {})
+    runs = {"naive": lambda phi, b: q.eval_naive(phi, b),
+            "kvar": lambda phi, b: q.eval_kvar(phi, b, 2)}
+    for name, run in runs.items():
+        with pytest.raises(q.FragmentError, match="a closed sentence is required"):
+            run(q.parse_formula("E(x,y) & P(x)"), empty)
+        with pytest.raises(q.SignatureMismatch, match="has arity 2, used with 1 arguments"):
+            run(q.parse_formula("exists x . E(x)"), empty)
+        with pytest.raises(q.SignatureMismatch, match="not in the structure signature"):
+            run(q.parse_formula("exists x . P(x)"), loop)
+        with pytest.raises(q.EpqError, match="non-empty universe"):
+            run(q.parse_formula("exists x . E(x,x)"), empty)
+    with pytest.raises(q.FragmentError, match="more than k=1"):
+        q.eval_kvar(q.parse_formula("E(x,y) & P(x)"), empty, 1)
+
+
+def test_eval_kvar_max_rows_guards_padding_and_complement():
+    # P(x) padded to (x, y) and the complement of P(x) would each hold 5 rows
+    names = tuple("abcde")
+    b = q.Structure(EPQ_SIG, names, {"P": {("a",)}, "Q": {("b",)}})
+    for text in ("exists x . exists y . (P(x) | Q(y))", "exists x . not P(x)"):
+        phi = q.parse_formula(text)
+        with pytest.raises(q.LimitExceeded) as caught:
+            q.eval_kvar(phi, b, 2, max_rows=3)
+        assert (caught.value.what, caught.value.limit) == ("bounded-variable relation size", 3)
+        assert q.eval_kvar(phi, b, 2, max_rows=5) == q.eval_naive(phi, b) is True
+
+
 def test_eval_kvar_examples():
     two_cycle = digraph(["a", "b"], {("a", "b"), ("b", "a")})
     assert q.eval_kvar(q.parse_formula("exists x . exists y . E(x,y)"), two_cycle, 2)

@@ -143,7 +143,10 @@ def test_parse_errors_match_the_reference_parser():
             assert _outcome(q.parse_formula, text, sig) == expected, text
             errors += type(expected) is tuple
     assert errors >= 400
-    # a comment-only text ends on its first line, where the reference puts it
+    # the end of the input is just after its last token, and a comment-only
+    # text ends where it starts
+    assert _outcome(q.parse_formula, "P(x) &", None)[1:] == (1, 7)
+    assert _outcome(q.parse_formula, "exists x .\nE(x,", None)[1:] == (2, 5)
     assert _outcome(q.parse_formula, "# only a comment\n", None)[1:] == (1, 1)
 
 

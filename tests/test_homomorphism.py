@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -498,21 +499,45 @@ def test_linked_constraints_match_unlinked():
 
 def test_shared_roots_do_not_outlive_their_sources(monkeypatch):
     # The target keeps a shared part's root fixpoint only while the linked
-    # sources are alive.  The three disjuncts are linked to E(x,y), and the
+    # sources are alive: the roots live on the shared part, which dies with
+    # them.  The three disjuncts are linked to E(x,y), and the
     # E(x,y) & E(y,x) member is searched from its root in b.
     built = []
     real = homomorphism._shared_root
 
     def recorded(shared, target, budget):
-        built.append(target)
+        built.append((target, weakref.ref(shared.__dict__["_roots"])))
         return real(shared, target, budget)
 
     monkeypatch.setattr(homomorphism, "_shared_root", recorded)
     phi = q.parse_formula("exists x . exists y . (E(x,y) & (P(x) | Q(y) | E(y,x)))")
     b = q.Structure(EPQ, ("a", "b", "c"), {"E": {("a", "b"), ("b", "c")}})
     assert not q.eval_via_pp_turing(phi, b)
-    assert any(target is b for target in built)
-    assert len(homomorphism._prepared(b).roots) == 0
+    assert any(target is b for target, _ in built)
+    assert all(roots() is None for _, roots in built)
+
+
+def test_a_shared_root_that_wipes_out_refutes_every_linked_source(monkeypatch):
+    # The three disjuncts share the path x -> y -> z -> w, which has no image
+    # in b, though every column mask of it is non-empty there: the root in b
+    # wipes out, once, and each member is refuted before any node.
+    roots = []
+    real = homomorphism._shared_root
+
+    def recorded(shared, target, budget):
+        roots.append((target, real(shared, target, budget)))
+        return roots[-1][1]
+
+    monkeypatch.setattr(homomorphism, "_shared_root", recorded)
+    phi = q.parse_formula("exists x . exists y . exists z . exists w . "
+                          "(E(x,y) & E(y,z) & E(z,w) & (P(x) | Q(y) | E(w,x)))")
+    b = q.Structure(EPQ, tuple("abcde"), {"E": {("a", "b"), ("b", "c"), ("d", "e")},
+                                          "P": {("a",)}, "Q": {("b",)}})
+    stats = q.SearchStats()
+    assert q.eval_via_pp_turing(phi, b, stats=stats) is False
+    assert stats.nodes == 0
+    assert [root for target, root in roots if target is b] == [None] * 3
+    assert q.eval_naive(phi, b) is False
 
 
 def _homomorphisms(a, b):
@@ -570,7 +595,7 @@ def test_shared_root_probes_drop_only_values_no_homomorphism_uses():
             assert (found is None) == (q.find_homomorphism(plain[j], plain[i]) is None)
         for i, target in enumerate(linked):
             # probed on its first use, at the latest by the search from linked[i] itself
-            root = homomorphism._prepared(target).roots[homomorphism._skeleton(shared)]
+            root = shared.__dict__["_roots"][homomorphism._prepared(target)]
             pruned += _check_probed(root, shared, plain[i])
     assert families > 20 and pruned > 0
 
@@ -640,7 +665,9 @@ def test_shared_root_is_probed_once_per_linked_target(monkeypatch):
         assert q.find_homomorphism(linked[0], unlinked, stats=stats) is not None
         assert stats.nodes > 0
     shared = linked[0].__dict__["_shared"]
-    (root,) = homomorphism._prepared(unlinked).roots.values()
+    roots = shared.__dict__["_roots"]
+    assert list(roots) == [homomorphism._prepared(unlinked)]
+    root = roots[homomorphism._prepared(unlinked)]
     assert calls == [] and root == homomorphism._constraints(shared, (), unlinked, None, None)[0]
     assert q.find_homomorphism(linked[0], linked[1]) is not None
     assert calls == [len(shared.universe)]
@@ -664,7 +691,7 @@ def test_three_disjuncts_on_a_large_shared_body_make_no_probe(monkeypatch):
     assert all("_shared" in s.__dict__ for s in linked)
     for source, target in itertools.permutations(linked, 2):
         assert q.find_homomorphism(source, target) is None
-    assert probes == [] and all(len(homomorphism._prepared(s).roots) == 0 for s in linked)
+    assert probes == [] and len(linked[0].__dict__["_shared"].__dict__["_roots"]) == 0
 
 
 def test_constraints_order_does_not_depend_on_the_hash_seed():

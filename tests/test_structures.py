@@ -1,9 +1,11 @@
 import random
+import sys
 import time
 
 import pytest
 
 import epquery as q
+from epquery import structures
 from helpers import (
     E2,
     UNION_SIG,
@@ -22,6 +24,23 @@ def test_signature_rejects_duplicate_names():
 def test_signature_rejects_zero_arity():
     with pytest.raises(q.EpqError):
         q.Signature([q.RelationSymbol("P", 0)])
+
+
+def test_signature_name_rule_on_every_code_point():
+    # One pattern checks a name: not empty, and no character that
+    # str.isspace calls whitespace, no '/' and no '#'.
+    for cp in range(sys.maxunicode + 1):
+        ch = chr(cp)
+        allowed = not (ch.isspace() or ch in "/#")
+        assert (structures._NAME_RE.fullmatch(ch) is not None) is allowed, hex(cp)
+        assert (structures._NAME_RE.fullmatch(f"R{ch}1") is not None) is allowed, hex(cp)
+    assert structures._NAME_RE.fullmatch("") is None
+    for name in ("", "R S", "R\u2028", "R/2", "#R"):
+        with pytest.raises(q.EpqError, match="bad symbol name"):
+            q.Signature([q.RelationSymbol(name, 1)])
+    names = ["b", "a_1", "A", "\u00e9", "a"]
+    sig = q.Signature([q.RelationSymbol(n, i + 1) for i, n in enumerate(names)])
+    assert sig.names == tuple(sorted(names))
 
 
 def test_validate_well_formed_loop():
@@ -44,6 +63,16 @@ def test_validate_unknown_symbol_and_stray_element():
     report = q.validate(s)
     assert any("'F'" in p for p in report)
     assert any("'b'" in p for p in report)
+
+
+def test_validate_reports_bad_element_tokens():
+    sig = q.Signature([q.RelationSymbol("P", 1)])
+    bad = q.Structure(sig, ("", "a b", "c#d", "ok"), {})
+    assert q.validate(bad) == [
+        "empty element token",
+        "element token 'a b' contains whitespace",
+        "element token 'c#d' contains '#'",
+    ]
 
 
 def test_product_edge_times_loop():
