@@ -213,6 +213,8 @@ def _cmd_reduce(args, limits):
                 arity = int(arity_text)
             except ValueError:
                 raise EpqError(f"bad arity in mode {args.mode!r}") from None
+            if mode == "unary":
+                raise EpqError(f"mode 'unary' takes no arity, got {args.mode!r}")
         instance = reduce_sat(cnf, mode=mode, arity=arity)
     out = _write_bundle(instance, args.out)
     lines = [str(out / "sentence.epq"), str(out / "structure.str")]

@@ -6,7 +6,8 @@ away, each quantifier moved below the parts that do not mention its
 variable) and the bounded-variable bottom-up evaluator, both on
 ``formulas.walk``'s stack; one homomorphism search per disjunct, where each
 ``Or`` of atoms stays whole as a union constraint of the search; and the
-product-based round trip through the normalized disjunct set.
+product-based round trip through the normalized disjunct set.  All four
+check the sentence first, in one order (see ``evaluate``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .errors import (
     EpqError,
     FragmentError,
     LimitExceeded,
-    SignatureMismatch,
 )
 from .formulas import (
     And,
@@ -33,6 +33,7 @@ from .formulas import (
     Forall,
     Not,
     Or,
+    _checked,
     _free_sets,
     _structure_and_unions,
     children,
@@ -54,23 +55,9 @@ class Instance:
     structure: Structure
 
 
-def _check_symbols(phi, b):
-    for f in subformulas(phi):
-        if isinstance(f, Atom):
-            if f.symbol not in b.signature:
-                raise SignatureMismatch(f"symbol {f.symbol!r} is not in the structure signature")
-            if b.signature.arity(f.symbol) != len(f.args):
-                raise SignatureMismatch(
-                    f"symbol {f.symbol!r} has arity {b.signature.arity(f.symbol)}, "
-                    f"used with {len(f.args)} arguments"
-                )
-
-
-def _check_sentence(phi, b, closed):
-    # What eval_naive and eval_kvar require of their input, in this order.
-    if not closed:
-        raise FragmentError("a closed sentence is required")
-    _check_symbols(phi, b)
+def _check_sentence(phi, b, fragment):
+    # What every strategy requires of its input, in this order.
+    _checked(phi, fragment, b.signature)
     if not b.universe:
         raise EpqError("evaluation needs a non-empty universe")
 
@@ -97,8 +84,8 @@ def eval_naive(phi, b, *, max_work=MAX_WORK):
     quantifiers nest far deeper than the number of live variables.  Atoms and
     equalities are decided in their parent's loop, without a walker frame.
     """
+    _check_sentence(phi, b, "FO")
     free = _free_sets(subformulas(phi))
-    _check_sentence(phi, b, not free[id(phi)])
     if len(b.universe) ** max(map(len, free.values())) > max_work:
         raise LimitExceeded("naive evaluation work estimate", max_work)
     free = {}
@@ -385,7 +372,7 @@ def eval_kvar(phi, b, k, *, stats=None, max_rows=MAX_ROWS):
     info = classify(phi)
     if info.variables > k:
         raise FragmentError(f"sentence uses {info.variables} variables, more than k={k}")
-    _check_sentence(phi, b, info.closed)
+    _check_sentence(phi, b, "FO")
     run = _KvarRun(b, max_rows, _free_sets(subformulas(phi)))
     vars_final, rows = walk(_relation(phi, run))
     if stats is not None:
@@ -551,9 +538,10 @@ def eval_dnf_hom(phi, b, *, max_disjuncts=MAX_DISJUNCTS, max_nodes=MAX_NODES, st
     n^n.  Each disjunct is one homomorphism search in which every kept ``Or``
     is a union constraint: it holds when one of its atoms maps to a tuple of
     b.  ``max_disjuncts`` bounds the disjuncts of this partial flattening,
-    and ``stats.nodes`` counts the nodes of these searches.
+    and ``stats.nodes`` counts the nodes of these searches.  Like every
+    strategy, it first checks the sentence (here EP) and then b's universe.
     """
-    _check_symbols(phi, b)
+    _check_sentence(phi, b, "EP")
     disjuncts = _disjuncts(phi, max_disjuncts, True)
     searches = (_structure_and_unions(psi, b.signature) for psi in disjuncts)
     return any(find_homomorphism(struct, b, unions=unions, max_nodes=max_nodes, stats=stats)
@@ -562,7 +550,7 @@ def eval_dnf_hom(phi, b, *, max_disjuncts=MAX_DISJUNCTS, max_nodes=MAX_NODES, st
 
 def eval_via_pp_turing(phi, b, *, max_disjuncts=MAX_DISJUNCTS, max_nodes=MAX_NODES, stats=None):
     """Evaluation through the normalized disjunct set, one search per member's structure."""
-    _check_symbols(phi, b)
+    _check_sentence(phi, b, "EP")
     members = _members(phi, b.signature, max_disjuncts, max_nodes, stats)
     return any(find_homomorphism(struct, b, max_nodes=max_nodes, stats=stats) is not None
                for _, struct in members)
@@ -596,6 +584,9 @@ def evaluate(phi, b, strategy="naive", *, k=None, stats=None, **limits):
     ``max_nodes`` for ``dnf-hom`` and ``pp-reduction``.  A limit that no
     strategy takes raises ``EpqError``, so a misspelled one is not dropped,
     and so does a ``k`` for any strategy but ``kvar``, the one it bounds.
+    Each strategy then checks its fragment (FO for ``naive`` and ``kvar``, EP
+    for the others), closedness, the symbols and a non-empty universe, in
+    that order; ``kvar`` checks ``k`` before these.
     """
     kind = dict if strategy == "kvar" else SearchStats
     if stats is not None and strategy in _STRATEGIES[1:] and not isinstance(stats, kind):

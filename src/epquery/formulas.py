@@ -12,6 +12,8 @@ Grammar (whitespace-insensitive, '#' starts a comment)::
 the right.  Identifiers are runs of letters, digits, and ``_ ^ @ '`` that
 are not the keywords exists/forall/not.
 
+One walk, ``_scan``, answers ``classify`` and ``formula_signature`` and the
+one sentence check ``_checked``: fragment, closedness, signature fit.
 ``structure_of_pp`` renames bound variables apart in the walk that collects
 the induced structure.  Entailment, which needs homomorphisms, is in
 ``normalize``.
@@ -22,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 
-from .errors import EpqError, FragmentError, ParseError
+from .errors import EpqError, FragmentError, ParseError, SignatureMismatch
 from .structures import RelationSymbol, Signature, Structure
 
 
@@ -214,23 +216,44 @@ def walk(gen):
     return value
 
 
-def _variable_set(nodes):
-    names = set()
-    for g in nodes:
+def _scan(f):
+    # One preorder walk of f: the node kinds, the variable names, the free
+    # variables of f alone, and each (symbol, arity) its atoms use, in order
+    # of first use.  A quantifier binds its variable until the walk reaches
+    # the mark pushed below its body, so no per-node sets are built.
+    kinds, names, free, uses = set(), set(), set(), {}
+    bound = {}  # name -> quantifiers binding it on the current path
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g is _LEAVE:
+            bound[stack.pop()] -= 1
+            continue
         kind = type(g)
-        if kind is Atom:
-            names.update(g.args)
-        elif kind is Equality:
-            names.add(g.left)
-            names.add(g.right)
-        elif kind is Exists or kind is Forall:
-            names.add(g.var)
-    return names
+        kinds.add(kind)
+        if kind is Atom or kind is Equality:
+            args = g.args if kind is Atom else (g.left, g.right)
+            if kind is Atom:
+                uses[g.symbol, len(args)] = None
+            names.update(args)
+            for x in args:
+                if not bound.get(x):
+                    free.add(x)
+        else:
+            if kind is Exists or kind is Forall:
+                names.add(g.var)
+                bound[g.var] = bound.get(g.var, 0) + 1
+                stack += (g.var, _LEAVE)
+            stack.extend(reversed(children(g)))
+    return kinds, names, free, uses
+
+
+_LEAVE = object()
 
 
 def variable_names(f):
     """Every variable token occurring anywhere in the formula."""
-    return _variable_set(subformulas(f))
+    return _scan(f)[1]
 
 
 def _free_sets(nodes):
@@ -251,32 +274,9 @@ def _free_sets(nodes):
     return free
 
 
-def _root_free(f):
-    # Free variables of f alone, in one preorder walk: a quantifier binds its
-    # variable until the walk leaves its scope, so no per-node sets are built.
-    free = set()
-    bound = {}  # name -> quantifiers binding it on the current path
-    stack = [(f, False)]
-    while stack:
-        g, leaving = stack.pop()
-        kind = type(g)
-        if leaving:
-            bound[g.var] -= 1
-        elif kind is Atom:
-            free.update(x for x in g.args if not bound.get(x))
-        elif kind is Equality:
-            free.update(x for x in (g.left, g.right) if not bound.get(x))
-        else:
-            if kind is Exists or kind is Forall:
-                bound[g.var] = bound.get(g.var, 0) + 1
-                stack.append((g, True))
-            stack.extend((c, False) for c in reversed(children(g)))
-    return free
-
-
 def free_variables(f):
     """Variables with at least one occurrence not bound by a quantifier."""
-    return frozenset(_root_free(f))
+    return frozenset(_scan(f)[2])
 
 
 @dataclass(frozen=True)
@@ -287,22 +287,40 @@ class FormulaInfo:
     closed: bool
 
 
+def _info(kinds, names, free):
+    fragment = "FO" if Not in kinds or Forall in kinds else "EP" if Or in kinds else "PP"
+    return FormulaInfo(fragment, len(names), Equality not in kinds, not free)
+
+
 def classify(f):
     """Fragment membership, distinct-variable count, equality and closedness flags."""
-    nodes = subformulas(f)
-    kinds = set(map(type, nodes))
-    if Not in kinds or Forall in kinds:
-        fragment = "FO"
-    elif Or in kinds:
-        fragment = "EP"
-    else:
-        fragment = "PP"
-    return FormulaInfo(
-        fragment=fragment,
-        variables=len(_variable_set(nodes)),
-        equality_free=Equality not in kinds,
-        closed=not _root_free(f),
-    )
+    return _info(*_scan(f)[:3])
+
+
+_REQUIRED = {"PP": "a primitive positive sentence is required",
+             "EP": "an existential positive sentence is required"}
+
+
+def _checked(f, fragment, signature=None):
+    # classify(f), once f is a closed sentence of the fragment ("PP", "EP" or
+    # "FO", each within the next) whose atoms fit the signature, if given, in
+    # that order; of the atoms that do not fit, the first in preorder is named.
+    kinds, names, free, uses = _scan(f)
+    info = _info(kinds, names, free)
+    if fragment in _REQUIRED and info.fragment not in ("PP", fragment):
+        raise FragmentError(_REQUIRED[fragment])
+    if free:
+        raise FragmentError("a closed sentence is required")
+    if signature is None:
+        return info
+    arities = signature._arities
+    for symbol, used in uses:
+        if symbol not in arities:
+            raise SignatureMismatch(f"symbol {symbol!r} is not in the structure signature")
+        if arities[symbol] != used:
+            raise SignatureMismatch(
+                f"symbol {symbol!r} has arity {arities[symbol]}, used with {used} arguments")
+    return info
 
 
 # One match per token: a comment up to the next line break (any that
@@ -502,12 +520,10 @@ def canonical_query(a):
 def formula_signature(f):
     """Signature inferred from the predicate atoms of a formula."""
     arities = {}
-    for g in subformulas(f):
-        if isinstance(g, Atom):
-            seen = arities.setdefault(g.symbol, len(g.args))
-            if seen != len(g.args):
-                raise EpqError(f"symbol {g.symbol!r} used with arities {seen} and {len(g.args)}")
-    return Signature([RelationSymbol(name, arity) for name, arity in arities.items()])
+    for symbol, used in _scan(f)[3]:
+        if arities.setdefault(symbol, used) != used:
+            raise EpqError(f"symbol {symbol!r} used with arities {arities[symbol]} and {used}")
+    return Signature([RelationSymbol(symbol, arity) for symbol, arity in arities.items()])
 
 
 def _fresh_name(base, taken):
@@ -524,11 +540,7 @@ def structure_of_pp(psi, signature=None):
     name wins); the universe keeps one element per surviving quantified
     variable, in quantifier-prefix order.
     """
-    info = classify(psi)
-    if info.fragment != "PP":
-        raise FragmentError("a primitive positive sentence is required")
-    if not info.closed:
-        raise FragmentError("a closed sentence is required")
+    _checked(psi, "PP", signature)
     return _structure_and_unions(psi, signature)[0]
 
 
@@ -539,7 +551,9 @@ def _structure_and_unions(psi, signature=None):
     comes back as a list of (symbol, arguments) over the merged variables.
     One preorder walk renames bound variables apart as it collects: the
     first quantifier of a name keeps it, later ones get a fresh name, and
-    every atom, equality and ``Or`` reads its innermost binder.
+    every atom, equality and ``Or`` reads its innermost binder.  The caller
+    checks that the atoms fit ``signature`` (``_checked``); without one, the
+    sentence's own signature is used, which they fit by construction.
     """
     quantified = []  # in quantifier-prefix order
     atoms = []
@@ -599,18 +613,11 @@ def _structure_and_unions(psi, signature=None):
     if signature is None:
         signature = formula_signature(psi)
 
-    def merged(symbol, args):
-        if symbol not in signature:
-            raise EpqError(f"symbol {symbol!r} is not in the supplied signature")
-        if signature.arity(symbol) != len(args):
-            raise EpqError(f"arity mismatch for symbol {symbol!r}")
-        return symbol, tuple(find(x) for x in args)
-
     relations = {}
     for symbol, args in atoms:
-        name, args = merged(symbol, args)
-        relations.setdefault(name, set()).add(args)
-    unions = [[merged(*atom) for atom in branches] for branches in ors]
+        relations.setdefault(symbol, set()).add(tuple(find(x) for x in args))
+    unions = [[(symbol, tuple(find(x) for x in args)) for symbol, args in branches]
+              for branches in ors]
     return Structure(signature, tuple(universe), relations), unions
 
 

@@ -20,8 +20,8 @@ from .formulas import (
     Equality,
     Exists,
     Or,
+    _checked,
     _structure_and_unions,
-    classify,
     conj,
     disj,
     formula_signature,
@@ -57,12 +57,7 @@ def to_pp_disjunction(phi, *, max_disjuncts=MAX_DISJUNCTS):
 def _disjuncts(phi, max_disjuncts, keep_unions):
     # The body of to_pp_disjunction.  With keep_unions, an Or whose children
     # are all atoms stays one leaf instead of being distributed.
-    info = classify(phi)
-    if info.fragment not in ("PP", "EP"):
-        raise FragmentError("an existential positive sentence is required")
-    if not info.closed:
-        raise FragmentError("a closed sentence is required")
-
+    _checked(phi, "EP")
     out = walk(_dnf(phi, max_disjuncts, keep_unions))
     # the checks inside _dnf see only Ors and Ands; a sentence with neither is one disjunct
     if len(out) > max_disjuncts:
@@ -125,9 +120,11 @@ def m_normalize(
 def _members(phi, signature, max_disjuncts, max_nodes, stats):
     # m_normalize as (member, structure) pairs, so that callers search the
     # structures, and the skeletons kept on them, that entailment built.
+    if signature is not None:
+        _checked(phi, "EP", signature)
     disjuncts = to_pp_disjunction(phi, max_disjuncts=max_disjuncts)
     if signature is None:
-        signature = formula_signature(phi)
+        signature = formula_signature(phi)  # which the atoms fit by construction
     # the sentence is closed EP, so each disjunct is closed PP
     structs = [_structure_and_unions(d, signature)[0] for d in disjuncts]
     _link_shared(structs)

@@ -165,16 +165,18 @@ def treewidth_exact(a, *, max_universe=MAX_EXACT_TW):
     """Optimal width plus a witnessing decomposition, from bounds first.
 
     When the minor-min-width lower bound meets the min-fill upper bound,
-    min-fill's decomposition is optimal; otherwise each width from the lower
-    bound up is tried with ``_width_at_most``, which is exponential in the
-    universe size, hence the guard.
+    min-fill's decomposition is optimal, at any universe size; otherwise
+    each width from the lower bound up is tried with ``_width_at_most``,
+    which is exponential in the universe size, so ``max_universe`` guards
+    that step only.
     """
-    if len(a.universe) > max_universe:
+    upper, witness = treewidth_upper(a)
+    lower = minor_min_width(a)
+    if lower < upper and len(a.universe) > max_universe:
         raise LimitExceeded("exact treewidth universe size", max_universe)
     index = {elem: i for i, elem in enumerate(a.universe)}
     masks = [sum(1 << index[u] for u in neigh) for neigh in gaifman_adjacency(a).values()]
-    upper, witness = treewidth_upper(a)
-    for k in range(minor_min_width(a), upper):
+    for k in range(lower, upper):
         order = _width_at_most(masks, k)
         if order is not None:
             return k, decomposition_from_order(a, [a.universe[v] for v in order])

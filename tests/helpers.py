@@ -26,7 +26,7 @@ import re
 import epquery as q
 from epquery import homomorphism
 from epquery.errors import MAX_NODES
-from epquery.formulas import _free_sets, walk
+from epquery.formulas import _checked, _free_sets, walk
 from epquery.structures import project_rows, repetition_pattern
 from epquery.treewidth import _bits, _elimination_cost
 
@@ -70,6 +70,13 @@ def triangulated_grid(rows, columns):
                 if c + 1 < columns:
                     edges.add((f"g{r}_{c}", f"g{r + 1}_{c + 1}"))
     return digraph(names, edges)
+
+
+# minor-min-width 3, min-fill 4: treewidth_exact runs the decision search too
+FALLBACK = digraph([f"v{i}" for i in range(7)], {
+    ("v0", "v1"), ("v0", "v2"), ("v0", "v4"), ("v0", "v5"), ("v1", "v3"), ("v1", "v6"),
+    ("v2", "v4"), ("v2", "v5"), ("v2", "v6"), ("v3", "v4"), ("v3", "v5"), ("v4", "v6"),
+})
 
 
 def sparse_digraph(seed, n, image):
@@ -823,7 +830,7 @@ def memo_every_node_eval_naive(phi, b, *, max_work=10_000_000):
                for key, names in _free_sets(q.subformulas(phi)).items()}
     if free_of[id(phi)]:
         raise q.FragmentError("a closed sentence is required")
-    evaluate._check_symbols(phi, b)
+    _checked(phi, "FO", b.signature)
     if not b.universe:
         raise q.EpqError("evaluation needs a non-empty universe")
     if len(b.universe) ** max(map(len, free_of.values())) > max_work:
@@ -889,7 +896,7 @@ def _bottom_up_eval_kvar(phi, b, k, stats, max_rows, filter_or):
         raise q.FragmentError(f"sentence uses {info.variables} variables, more than k={k}")
     if not info.closed:
         raise q.FragmentError("a closed sentence is required")
-    evaluate._check_symbols(phi, b)
+    _checked(phi, "FO", b.signature)
     run = evaluate._KvarRun(b, max_rows, _free_sets(q.subformulas(phi)))
     expand, complement = evaluate._expand, evaluate._complement
 

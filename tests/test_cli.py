@@ -5,7 +5,7 @@ import pytest
 import epquery as q
 from epquery import cli
 from epquery.cli import main
-from helpers import digraph, path_digraph, triangulated_grid
+from helpers import FALLBACK, digraph, path_digraph
 
 LOOP = "signature E/2\nuniverse a\ntuple E a a\n"
 EDGE = "signature E/2\nuniverse a b\ntuple E a b\n"
@@ -146,14 +146,14 @@ def test_unexpected_exception_exits_two_never_one(tmp_path, capsys, monkeypatch)
 
 
 def test_treewidth_upper_prints_the_min_fill_width(tmp_path, capsys):
-    # the exact limit is past, so only the min-fill route can answer
-    grid = triangulated_grid(3, 4)
-    (tmp_path / "g.str").write_text(q.format_structure(grid))
+    # the bounds disagree (3 and 4) and the exact limit is past, so only the
+    # min-fill route can answer
+    (tmp_path / "g.str").write_text(q.format_structure(FALLBACK))
     argv = ["treewidth", "--structure", str(tmp_path / "g.str"), "--max-exact-tw", "2"]
     assert _run(capsys, argv)[0] == 2
     code, out, _ = _run(capsys, argv + ["--upper"])
     assert code == 0
-    assert out.strip() == str(q.treewidth_upper(grid)[0])
+    assert out.strip() == str(q.treewidth_upper(FALLBACK)[0]) == "4"
 
 
 def test_treewidth_witness_validates(tmp_path, capsys):
@@ -193,6 +193,11 @@ def test_reduce_sat_mode_arity(tmp_path, capsys):
     code, out, _ = _run(capsys, argv + ["--mode", "unary:x", "--format", "json"])
     assert code == 2
     assert json.loads(out)["error"] == "bad arity in mode 'unary:x'"
+    # only two-symbols and single-symbol read an arity
+    code, out, _ = _run(capsys, argv + ["--mode", "unary:7", "--format", "json"])
+    assert code == 2
+    assert json.loads(out)["error"] == "mode 'unary' takes no arity, got 'unary:7'"
+    assert _run(capsys, argv + ["--mode", "unary"])[0] == 0
 
 
 def test_reduce_ham_bundle(tmp_path, capsys):

@@ -108,23 +108,58 @@ def test_evaluators_reject_non_formula_nodes():
         q.eval_kvar(junk, b, 1)
 
 
-def test_naive_and_kvar_share_one_precheck():
-    # closed first, then the symbols, then a non-empty universe; kvar checks k before all three
-    loop = digraph(["a"], {("a", "a")})
-    empty = q.Structure(E2, (), {})
-    runs = {"naive": lambda phi, b: q.eval_naive(phi, b),
-            "kvar": lambda phi, b: q.eval_kvar(phi, b, 2)}
-    for name, run in runs.items():
-        with pytest.raises(q.FragmentError, match="a closed sentence is required"):
-            run(q.parse_formula("E(x,y) & P(x)"), empty)
-        with pytest.raises(q.SignatureMismatch, match="has arity 2, used with 1 arguments"):
-            run(q.parse_formula("exists x . E(x)"), empty)
-        with pytest.raises(q.SignatureMismatch, match="not in the structure signature"):
-            run(q.parse_formula("exists x . P(x)"), loop)
-        with pytest.raises(q.EpqError, match="non-empty universe"):
-            run(q.parse_formula("exists x . E(x,x)"), empty)
-    with pytest.raises(q.FragmentError, match="more than k=1"):
-        q.eval_kvar(q.parse_formula("E(x,y) & P(x)"), empty, 1)
+_LOOP = digraph(["a"], {("a", "a")})
+_EMPTY = q.Structure(E2, (), {})
+_NO_E = q.Structure(q.Signature([q.RelationSymbol("P", 1)]), ("a",), {"P": {("a",)}})
+_E3 = q.Structure(q.Signature([q.RelationSymbol("E", 3)]), ("a",), {})
+_EDGE = "exists x . exists y . E(x,y)"
+_CLOSED = (q.FragmentError, "a closed sentence is required")
+_NOT_IN = (q.SignatureMismatch, "symbol 'E' is not in the structure signature")
+_ARITY = (q.SignatureMismatch, "symbol 'E' has arity 3, used with 2 arguments")
+_UNIVERSE = (q.EpqError, "evaluation needs a non-empty universe")
+_NOT_EP = (q.FragmentError, "an existential positive sentence is required")
+_E_UNARY = (q.SignatureMismatch, "symbol 'E' has arity 2, used with 1 arguments")
+
+_P_NOT_IN = (q.SignatureMismatch, "symbol 'P' is not in the structure signature")
+
+# (sentence, structure, the fault naive and kvar raise, the one dnf-hom and
+# pp-reduction raise).  Of several faults, the first in the order fragment,
+# closed, symbols, non-empty universe is raised.
+_PRECHECK_ROWS = [
+    pytest.param("E(x,y) & P(x)", _LOOP, _CLOSED, _CLOSED, id="open-P-unknown"),
+    pytest.param("E(x,y) & P(x)", _EMPTY, _CLOSED, _CLOSED, id="open-empty"),
+    pytest.param(_EDGE, _EMPTY, _UNIVERSE, _UNIVERSE, id="empty"),
+    pytest.param(_EDGE, _NO_E, _NOT_IN, _NOT_IN, id="E-unknown"),
+    pytest.param(_EDGE, _E3, _ARITY, _ARITY, id="E-arity-3"),
+    pytest.param("exists x . E(x)", _EMPTY, _E_UNARY, _E_UNARY, id="E-used-unary-empty"),
+    pytest.param("exists x . P(x)", _LOOP, _P_NOT_IN, _P_NOT_IN, id="P-unknown"),
+    pytest.param("exists x . not E(x,x)", _NO_E, _NOT_IN, _NOT_EP, id="FO-E-unknown"),
+    pytest.param("not E(x,y)", _EMPTY, _CLOSED, _NOT_EP, id="FO-open-empty"),
+]
+
+
+def _raises(fault, run):
+    cls, message = fault
+    with pytest.raises(q.EpqError) as caught:
+        run()
+    assert (type(caught.value), str(caught.value)) == (cls, message)
+
+
+@pytest.mark.parametrize("strategy", ["naive", "kvar", "dnf-hom", "pp-reduction"])
+@pytest.mark.parametrize("text, b, fo_fault, ep_fault", _PRECHECK_ROWS)
+def test_every_strategy_shares_one_precheck(strategy, text, b, fo_fault, ep_fault):
+    phi = q.parse_formula(text)
+    fault = fo_fault if strategy in ("naive", "kvar") else ep_fault
+    _raises(fault, lambda: q.evaluate(phi, b, strategy))
+    if strategy == "kvar":
+        # kvar checks k before all four
+        _raises((q.FragmentError, f"sentence uses {q.classify(phi).variables} variables, more than k=0"),
+                lambda: q.evaluate(phi, b, "kvar", k=0))
+    if strategy == "dnf-hom" and ep_fault is not _UNIVERSE:
+        # given b's signature, the builders raise the same fault; they take no universe
+        _raises(ep_fault, lambda: q.m_normalize(phi, signature=b.signature))
+        if q.classify(phi).fragment == "PP":
+            _raises(ep_fault, lambda: q.structure_of_pp(phi, b.signature))
 
 
 def test_eval_kvar_max_rows_guards_padding_and_complement():

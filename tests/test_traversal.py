@@ -9,7 +9,7 @@ import pathlib
 import pytest
 
 import epquery as q
-from helpers import digraph
+from helpers import FALLBACK, digraph
 
 SRC = pathlib.Path(q.__file__).parent
 
@@ -28,11 +28,6 @@ SAT = q.reduce_sat(q.CnfFormula(4, (frozenset({1, -2, 3}), frozenset({-1, 2, 4})
                                     frozenset({2, 3, -4}))), "unary")
 PP = q.parse_formula("exists x . exists y . exists z . (E(x,y) & E(y,z) & x = z)")
 PP_STRUCT = q.structure_of_pp(PP)
-# minor-min-width 3, min-fill 4: treewidth_exact runs the decision search too
-FALLBACK = digraph([f"v{i}" for i in range(7)], {
-    ("v0", "v1"), ("v0", "v2"), ("v0", "v4"), ("v0", "v5"), ("v1", "v3"), ("v1", "v6"),
-    ("v2", "v4"), ("v2", "v5"), ("v2", "v6"), ("v3", "v4"), ("v3", "v5"), ("v4", "v6"),
-})
 
 CALLS = {
     "eval_naive": lambda: q.eval_naive(PHI, B),

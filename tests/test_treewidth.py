@@ -8,6 +8,7 @@ import epquery as q
 from epquery.treewidth import minor_min_width
 from helpers import (
     E2,
+    FALLBACK,
     all_structures,
     clique_digraph,
     cycle_digraph,
@@ -93,9 +94,15 @@ def test_treewidth_exact_matches_elimination_oracle_random():
 
 
 def test_treewidth_exact_limit():
-    big = digraph([f"v{i}" for i in range(21)], set())
+    # the guard covers only the exponential search: 21 elements whose bounds
+    # disagree raise, and bounds that meet answer at any size
+    big = q.Structure(E2, FALLBACK.universe + tuple(f"w{i}" for i in range(14)), FALLBACK.relations)
+    assert (minor_min_width(big), q.treewidth_upper(big)[0]) == (3, 4)
     with pytest.raises(q.LimitExceeded):
         q.treewidth_exact(big)
+    assert q.treewidth_exact(digraph([f"v{i}" for i in range(21)], set()))[0] == 0
+    width, witness = q.treewidth_exact(path_digraph(40))
+    assert width == 1 and q.validate_decomposition(path_digraph(40), witness)
 
 
 def _seeded_graphs():
