@@ -563,6 +563,7 @@ def pp_to_ep_instance(psi, phi, b, *, max_disjuncts=MAX_DISJUNCTS, max_nodes=MAX
     disjunct set of ``phi``; the returned instance is true exactly when ``b``
     satisfies ``psi``.
     """
+    _checked(phi, "EP", b.signature)
     members = _members(phi, b.signature, max_disjuncts, max_nodes, None)
     psi_struct = structure_of_pp(psi, b.signature)
     if not any(hom_equivalent(psi_struct, struct, max_nodes=max_nodes) for _, struct in members):

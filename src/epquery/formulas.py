@@ -302,17 +302,18 @@ _REQUIRED = {"PP": "a primitive positive sentence is required",
 
 
 def _checked(f, fragment, signature=None):
-    # classify(f), once f is a closed sentence of the fragment ("PP", "EP" or
-    # "FO", each within the next) whose atoms fit the signature, if given, in
-    # that order; of the atoms that do not fit, the first in preorder is named.
+    # The (symbol, arity) pairs f's atoms use, in order of first use, once f
+    # is a closed sentence of the fragment ("PP", "EP" or "FO", each within
+    # the next) whose atoms fit the signature, if given, in that order; of
+    # the atoms that do not fit, the first in preorder is named.  Without a
+    # signature, ``_signature`` of the result is the one they fit.
     kinds, names, free, uses = _scan(f)
-    info = _info(kinds, names, free)
-    if fragment in _REQUIRED and info.fragment not in ("PP", fragment):
+    if fragment in _REQUIRED and _info(kinds, names, free).fragment not in ("PP", fragment):
         raise FragmentError(_REQUIRED[fragment])
     if free:
         raise FragmentError("a closed sentence is required")
     if signature is None:
-        return info
+        return uses
     arities = signature._arities
     for symbol, used in uses:
         if symbol not in arities:
@@ -320,7 +321,7 @@ def _checked(f, fragment, signature=None):
         if arities[symbol] != used:
             raise SignatureMismatch(
                 f"symbol {symbol!r} has arity {arities[symbol]}, used with {used} arguments")
-    return info
+    return uses
 
 
 # One match per token: a comment up to the next line break (any that
@@ -519,8 +520,13 @@ def canonical_query(a):
 
 def formula_signature(f):
     """Signature inferred from the predicate atoms of a formula."""
+    return _signature(_scan(f)[3])
+
+
+def _signature(uses):
+    # the signature of the (symbol, arity) pairs of ``_scan``, in that order
     arities = {}
-    for symbol, used in _scan(f)[3]:
+    for symbol, used in uses:
         if arities.setdefault(symbol, used) != used:
             raise EpqError(f"symbol {symbol!r} used with arities {arities[symbol]} and {used}")
     return Signature([RelationSymbol(symbol, arity) for symbol, arity in arities.items()])
@@ -540,8 +546,8 @@ def structure_of_pp(psi, signature=None):
     name wins); the universe keeps one element per surviving quantified
     variable, in quantifier-prefix order.
     """
-    _checked(psi, "PP", signature)
-    return _structure_and_unions(psi, signature)[0]
+    uses = _checked(psi, "PP", signature)
+    return _structure_and_unions(psi, _signature(uses) if signature is None else signature)[0]
 
 
 def _structure_and_unions(psi, signature=None):

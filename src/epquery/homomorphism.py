@@ -30,6 +30,12 @@ the source tuple's repetition pattern.
   fixpoint and queues only the variables of its other tuples, and those
   that ``fixed`` narrowed, so the shared part is not propagated again per
   source.
+- Between two linked structures, a search is first tested against the
+  loose-atom keys: one per tuple outside the shared part, its symbol, its
+  arguments with every non-shared element blanked and its repetition
+  pattern.  A source with a key that no target tuple supports is refuted
+  before its skeleton is bound or built (``_keyed_out``); on the
+  disjuncts of H_n every entailment test ends there.
 - Two roots are also probed, as in singleton arc consistency (Debruyne and
   Bessiere, IJCAI 1997): a probe gives one variable one value and
   propagates, and a value whose probe wipes out leaves the root for good,
@@ -40,14 +46,17 @@ the source tuple's repetition pattern.
   ``core``'s masks only narrow it.  So verdicts are those of the plain
   search, and only node counts move; each probe counts as a node of the
   call that makes it.  In ``core``, before each removal test, the
-  element's own variable in ``a -> a``.  And a shared part's root in a
-  target that is itself linked to that part (``m_normalize``'s tests
-  between the disjuncts of one sentence), on its first use: every other
-  linked source is searched from it.  In both the target holds the probed
-  part, so the identity is one of its maps.  Where it is nearly the only
-  one, as for a core with few automorphisms (Hell and Nesetril, "The core
-  of a graph", 1992), probing leaves little else, and the searches refute
-  at their root.
+  element's own variable in ``a -> a``.  And once per family of linked
+  structures, the shared part's root in U, the union of the family, on
+  its first use.  Each linked structure lies in U, so every map of the
+  shared part into one of them is a map into U and keeps to the values
+  this family root keeps: one probed root serves every target of the
+  family, as the keys' supports and as a bound on each linked target's
+  shared root.  In ``core`` the target holds the probed structure, so the
+  identity is one of its maps.  Where it is nearly the only one, as for a
+  core with few automorphisms (Hell and Nesetril, "The core of a graph",
+  1992), probing leaves little else, and the searches refute at their
+  root.
 - A search may also carry union constraints, each a disjunction of atoms
   over source elements, passed as ``find_homomorphism``'s ``unions``
   (``eval_dnf_hom`` makes one from each ``Or`` of atoms).  One is revised
@@ -242,10 +251,17 @@ def _skeleton(source):
 def _link_shared(structures):
     """Link the structures to the substructure of the tuples all of them hold.
 
-    Each structure's skeleton links to it when it is built.  The
-    substructure's ``_roots`` (see ``_shared_root``) dies with them.  No
-    link is made for fewer than three structures, where each target's root
-    would serve a single search, or when they share no tuple.
+    Each structure's skeleton links to it when it is built.  Each structure
+    also gets its ``_Loose`` record: the masks of its loose-atom keys and of
+    its loose tuples, those outside the substructure.  A key is (symbol,
+    the arguments with every element outside the substructure blanked to
+    None, the repetition pattern).  Keys and tuples are numbered in
+    structure order, and within a structure in signature order and then
+    universe order, so no mask depends on the hash seed.  The substructure
+    keeps the family's ``_Family`` tables and its ``_roots`` (see
+    ``_shared_root``), which die with the structures.  No link is made for
+    fewer than three structures, where each target's root would serve a
+    single search, or when they share no tuple.
     """
     if len(structures) < 3:
         return
@@ -256,9 +272,128 @@ def _link_shared(structures):
     if not elements:
         return
     shared = Structure(first.signature, [e for e in first.universe if e in elements], relations)
-    shared.__dict__["_roots"] = weakref.WeakKeyDictionary()
+    keys, rows, universe = {}, {}, {}
     for s in structures:
+        universe.update(dict.fromkeys(s.universe))
+        order = {e: i for i, e in enumerate(s.universe)}
+        key_mask = row_mask = 0
+        for sym in s.signature:
+            held = relations[sym.name]
+            for t in sorted((t for t in s.relations[sym.name] if t not in held),
+                            key=lambda t: [order[x] for x in t]):
+                key = (sym.name, tuple(x if x in elements else None for x in t),
+                       repetition_pattern(t)[1])
+                key_mask |= 1 << keys.setdefault(key, len(keys))
+                row_mask |= 1 << rows.setdefault((sym.name, t), len(rows))
         s.__dict__["_shared"] = shared
+        s.__dict__["_loose"] = _Loose(key_mask, row_mask)
+    shared.__dict__["_roots"] = weakref.WeakKeyDictionary()
+    shared.__dict__["_family"] = _Family(tuple(universe), tuple(keys), tuple(rows))
+
+
+class _Loose:
+    """One linked structure's part outside the shared substructure.
+
+    ``keys`` and ``rows`` are the masks of its loose-atom keys and of its
+    loose tuples.  As a target, ``tied`` and ``supported`` are the masks of
+    the family's keys that some tuple of it ties or supports (see
+    ``_Family``), each worked out on first use.
+    """
+
+    __slots__ = ("keys", "rows", "tied", "supported")
+
+    def __init__(self, keys, rows):
+        self.keys, self.rows = keys, rows
+        self.tied = self.supported = None
+
+
+class _Family:
+    """The tables shared by the structures of one ``_link_shared`` call.
+
+    ``keys`` lists the loose-atom keys and ``rows`` the loose tuples, as
+    (symbol, tuple), each in bit order.  U, the union of the linked
+    structures, has ``universe`` and holds the shared tuples and ``rows``;
+    every linked structure is contained in U.  ``root`` is the family root:
+    per shared element, the elements of U that its variable keeps once the
+    shared part's root in U is probed to singleton arc consistency.
+
+    A tuple *ties* a key when it has the key's symbol and repeats a value
+    wherever the key's pattern repeats an index.  It may repeat more, as
+    (x, y) maps onto (c, c).  It *supports* the key when it also gives each
+    shared argument a value that the family root keeps for it.  ``tied``
+    and ``supported`` give the keys that the shared tuples tie or support,
+    all together, and the keys that each row does; each is built on first
+    use.
+    """
+
+    __slots__ = ("universe", "keys", "rows", "root", "tied", "supported")
+
+    def __init__(self, universe, keys, rows):
+        self.universe, self.keys, self.rows = universe, keys, rows
+        self.root = self.tied = self.supported = None
+
+    def probed(self, shared, budget):
+        # the family root, computed on first use; each probe counts on ``budget``
+        if self.root is None:
+            union = Structure(shared.signature, self.universe, {
+                sym.name: shared.relations[sym.name].union(
+                    t for name, t in self.rows if name == sym.name) for sym in shared.signature})
+            # neither is None: the identity is a map of the shared part into U
+            domains, constraints = _constraints(shared, (), union, None, None)
+            domains = _probe_all(domains, *constraints[:2], budget.tick)
+            self.root = {x: frozenset(e for i, e in enumerate(union.universe) if dom >> i & 1)
+                         for x, dom in zip(shared.universe, domains)}
+        return self.root
+
+    def table(self, shared, root):
+        # the keys that the shared tuples fit, all together, and per row the
+        # keys it fits: those it ties, or with the family root, supports
+        by_symbol = {}
+        for bit, key in enumerate(self.keys):
+            by_symbol.setdefault(key[0], []).append((1 << bit, key))
+
+        def fitted(name, t):
+            return sum(bit for bit, key in by_symbol.get(name, ()) if _fits(t, key, root))
+
+        common = 0
+        for name, tuples in shared.relations.items():
+            for t in tuples:
+                common |= fitted(name, t)
+        return common, [fitted(name, t) for name, t in self.rows]
+
+
+def _fits(t, key, root):
+    # t ties the key, and with a root, also supports it (see ``_Family``)
+    _, args, pattern = key
+    return all(t[i] == t[pattern.index(p)] and (root is None or x is None or t[i] in root[x])
+               for i, (x, p) in enumerate(zip(args, pattern)))
+
+
+def _keyed_out(source, target, budget):
+    """True when the linked source has a loose-atom key that the target,
+    linked to the same substructure, does not support.
+
+    A map of the source into the target sends each loose tuple to a target
+    tuple that ties its key, and restricts to a map of the shared part into
+    the target, so into U; that map uses only values the family root
+    keeps.  So a key that no target tuple supports leaves no map.  A key
+    whose symbol and pattern no target tuple ties refutes first, with no
+    root; only then is the family root asked for, its probes counting on
+    ``budget``.  The target's masks are the shared tuples' masks and those
+    of its own loose tuples, worked out once per target.
+    """
+    shared = target.__dict__["_shared"]
+    family = shared.__dict__["_family"]
+    keys, loose = source.__dict__["_loose"].keys, target.__dict__["_loose"]
+    if loose.tied is None:
+        family.tied = family.tied or family.table(shared, None)
+        loose.tied = family.tied[0] | _reach(loose.rows, family.tied[1])
+    if keys & ~loose.tied:
+        return True
+    if loose.supported is None:
+        family.supported = family.supported or family.table(shared, family.probed(shared, budget))
+        loose.supported = family.supported[0] | _reach(loose.rows, family.supported[1])
+    return keys & ~loose.supported != 0
 
 
 def _shared_root(shared, target, budget):
@@ -266,22 +401,32 @@ def _shared_root(shared, target, budget):
     wipe-out; computed on first use and kept in the substructure's
     ``_roots``, weakly keyed by the target's tables (structures are unhashable).
 
-    A target that is itself linked to ``shared`` serves as the target of
-    every other linked source, so there the root is probed on first use:
-    every value of every variable, until none drops, each probe counting on
-    ``budget``.  No homomorphism of the shared part uses a dropped value,
-    and each linked source contains the shared part, so no homomorphism of
-    a linked source uses it either: every search from this root decides as
-    it would from the plain one.  Any other target keeps the plain root.
+    In a target that is itself linked to ``shared``, the plain root is
+    narrowed to the family root (``_Family.probed``) and propagated back to
+    a fixpoint.  The target lies in U, so every homomorphism of the shared
+    part into it is one into U and uses only values the family root keeps;
+    each linked source contains the shared part, so no homomorphism of a
+    linked source uses a dropped value either, and every search from this
+    root decides as it would from the plain one.  ``budget`` counts the
+    family root's probes when this is its first use.  Any other target
+    keeps the plain root.
     """
-    roots, key = shared.__dict__["_roots"], _prepared(target)
-    if key in roots:
-        return roots[key]
+    roots, prepared = shared.__dict__["_roots"], _prepared(target)
+    if prepared in roots:
+        return roots[prepared]
     built = _constraints(shared, (), target, None, None)
     root = None if built is None else built[0]
     if root is not None and target.__dict__.get("_shared") is shared:
-        root = _probe_all(root, *built[1][:2], budget.tick)
-    roots[key] = root
+        kept, tindex = shared.__dict__["_family"].probed(shared, budget), prepared.tindex
+        queue = {}
+        for v, x in enumerate(shared.universe):
+            removed = root[v] & ~sum(1 << tindex[e] for e in kept[x] if e in tindex)
+            if removed:
+                root[v] ^= removed
+                queue[v] = removed
+        if not all(root) or not _propagate(root, *built[1][:3], queue, []):
+            root = None
+    roots[prepared] = root
     return root
 
 
@@ -508,33 +653,38 @@ def _constraints(source, unions, target, fixed, budget):
     """The root fixpoint domains of a search and its constraints (arcs,
     scans, unions, degree), or None when that fixpoint wipes out.
 
-    The source's skeleton is bound to the target with one table entry per
-    (symbol, repetition pattern) key.  Each variable starts at the values
-    with a support in every column it fills, which is what a first revision
-    against full domains would leave; an empty one refutes at once.  A
-    linked source then starts its shared variables at the shared part's
-    root in the target (``_shared_root``), so only the variables of its
-    other tuples, and those that the column masks or ``fixed`` narrowed
-    further, are queued.  The largest fixpoint below that start is the
-    plain root, or, when the target is linked to the same part and so its
-    shared root was probed, lies inside the plain root and keeps every
-    value that some homomorphism uses.  ``budget``, the call's, counts those
-    probes when this call is the root's first use; it may be None for an
-    unlinked source.
+    Between two structures linked to one substructure, the source's
+    loose-atom keys are tested first (``_keyed_out``), before the skeleton
+    is built or bound.  The source's skeleton is bound to the target with
+    one table entry per (symbol, repetition pattern) key.  Each variable
+    starts at the values with a support in every column it fills, which is
+    what a first revision against full domains would leave; an empty one
+    refutes at once.  A linked source then starts its shared variables at
+    the shared part's root in the target (``_shared_root``), so only the
+    variables of its other tuples, and those that the column masks or
+    ``fixed`` narrowed further, are queued.  The largest fixpoint below
+    that start is the plain root, or, when the target is linked to the
+    same part and so its shared root was narrowed to the family root, lies
+    inside the plain root and keeps every value that some homomorphism
+    uses.  ``budget``, the call's, counts the family root's probes when
+    this call is its first use; it may be None for an unlinked source.
     """
     if source.signature != target.signature:
         raise SignatureMismatch("homomorphism search needs similar structures")
     if not source.universe or not target.universe:
         raise EpqError("homomorphism search needs non-empty universes")
+    for elem, val in (fixed or {}).items():
+        if elem not in _skeleton(source).sindex:
+            raise EpqError(f"fixed element {elem!r} is not in the source universe")
+        if val not in _prepared(target).tindex:
+            raise EpqError(f"fixed value {val!r} is not in the target universe")
+    link = source.__dict__.get("_shared")
+    if link is not None and target.__dict__.get("_shared") is link and _keyed_out(source, target, budget):
+        return None
     skeleton = _skeleton(source)
     prepared = _prepared(target)
     tindex = prepared.tindex
     sindex = skeleton.sindex
-    for elem, val in (fixed or {}).items():
-        if elem not in sindex:
-            raise EpqError(f"fixed element {elem!r} is not in the source universe")
-        if val not in tindex:
-            raise EpqError(f"fixed value {val!r} is not in the target universe")
     n = len(source.universe)
     full = (1 << prepared.size) - 1
     domains = [full] * n

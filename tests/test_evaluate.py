@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 import epquery as q
-from epquery import homomorphism
+from epquery import formulas, homomorphism
 from epquery.formulas import _free_sets, walk
 from epquery.normalize import _members
 from helpers import (
@@ -160,6 +160,28 @@ def test_every_strategy_shares_one_precheck(strategy, text, b, fo_fault, ep_faul
         _raises(ep_fault, lambda: q.m_normalize(phi, signature=b.signature))
         if q.classify(phi).fragment == "PP":
             _raises(ep_fault, lambda: q.structure_of_pp(phi, b.signature))
+
+
+def test_each_entry_point_scans_the_sentence_once(monkeypatch):
+    # The sentence check and the signature a builder infers come from one
+    # walk of the sentence, and the flattening behind each entry point
+    # trusts the check its caller made.
+    scans = []
+    real = formulas._scan
+
+    def counted(f):
+        scans.append(f)
+        return real(f)
+
+    monkeypatch.setattr(formulas, "_scan", counted)
+    phi = q.parse_formula("exists x . exists y . (E(x,y) & (P(x) | Q(y)) & (E(y,x) | P(y)))")
+    b = q.Structure(EPQ_SIG, ("a", "b"), {"E": {("a", "b"), ("b", "a")}, "P": {("a",)}})
+    for run in (lambda: q.m_normalize(phi), lambda: q.m_normalize(phi, signature=EPQ_SIG),
+                lambda: q.to_pp_disjunction(phi), lambda: q.eval_dnf_hom(phi, b),
+                lambda: q.eval_via_pp_turing(phi, b)):
+        scans.clear()
+        run()
+        assert scans == [phi]
 
 
 def test_eval_kvar_max_rows_guards_padding_and_complement():

@@ -214,6 +214,21 @@ def test_reduce_hamiltonian_two_cycle():
     assert q.eval_dnf_hom(instance.sentence, instance.structure)
 
 
+@pytest.mark.time_limit(60)
+def test_pp_reduction_agrees_with_dnf_hom_on_the_four_vertex_reductions():
+    # The 4-path a0 -> a1 -> a2 -> a3 with a loop at a3 has no Hamiltonian
+    # circuit, and with the edge a3 -> a0 instead it is one.  pp-reduction
+    # normalizes H_4 (256 members) and searches each member in turn.
+    names = ["a0", "a1", "a2", "a3"]
+    path = {("a0", "a1"), ("a1", "a2"), ("a2", "a3")}
+    for last, expected in ((("a3", "a3"), False), (("a3", "a0"), True)):
+        g = digraph(names, path | {last})
+        instance = q.reduce_hamiltonian(g)
+        assert q.brute_force_hamiltonian(g) is expected
+        for strategy in ("dnf-hom", "pp-reduction"):
+            assert q.evaluate(instance.sentence, instance.structure, strategy) is expected
+
+
 def test_reduce_hamiltonian_lifted_arity():
     for g, expected in ((cycle_digraph(2), True), (digraph(["a", "b"], set()), False)):
         instance = q.reduce_hamiltonian(g, lift_arity=3)

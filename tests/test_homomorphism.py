@@ -520,7 +520,10 @@ def test_shared_roots_do_not_outlive_their_sources(monkeypatch):
 def test_a_shared_root_that_wipes_out_refutes_every_linked_source(monkeypatch):
     # The three disjuncts share the path x -> y -> z -> w, which has no image
     # in b, though every column mask of it is non-empty there: the root in b
-    # wipes out, once, and each member is refuted before any node.
+    # wipes out, once, and each member is refuted before any search node.
+    # Normalizing probes the family root once: the union of the disjuncts
+    # holds the 4-cycle x -> y -> z -> w -> x, so each of the path's four
+    # variables keeps all four values, and each of the 16 probes survives.
     roots = []
     real = homomorphism._shared_root
 
@@ -535,7 +538,7 @@ def test_a_shared_root_that_wipes_out_refutes_every_linked_source(monkeypatch):
                                           "P": {("a",)}, "Q": {("b",)}})
     stats = q.SearchStats()
     assert q.eval_via_pp_turing(phi, b, stats=stats) is False
-    assert stats.nodes == 0
+    assert stats.nodes == 16
     assert [root for target, root in roots if target is b] == [None] * 3
     assert q.eval_naive(phi, b) is False
 
@@ -641,9 +644,10 @@ def _counting_probes(monkeypatch):
     return probes
 
 
-def test_shared_root_is_probed_once_per_linked_target(monkeypatch):
-    # A linked target's shared root is probed on its first use, once: the 27
-    # disjuncts of H_3 are the targets of m_normalize's searches.  A search
+def test_family_root_is_probed_once_per_family(monkeypatch):
+    # The family root, the shared part's root in the union of the linked
+    # structures, is probed once, on its first use: once for the 27
+    # disjuncts of H_3, the targets of m_normalize's searches.  A search
     # into any other target starts at the plain root, however often it runs.
     calls = []
     real = homomorphism._probe_all
@@ -654,7 +658,7 @@ def test_shared_root_is_probed_once_per_linked_target(monkeypatch):
 
     monkeypatch.setattr(homomorphism, "_probe_all", counted)
     assert len(q.m_normalize(q.hamiltonian_sentence(3))) == 27
-    assert len(calls) == 27
+    assert calls == [36]
     calls.clear()
     disjuncts = q.to_pp_disjunction(TRIANGLE_OR_TWO_CYCLE)
     linked = [_structure_and_unions(d, EPQ)[0] for d in disjuncts]
@@ -669,7 +673,8 @@ def test_shared_root_is_probed_once_per_linked_target(monkeypatch):
     assert list(roots) == [homomorphism._prepared(unlinked)]
     root = roots[homomorphism._prepared(unlinked)]
     assert calls == [] and root == homomorphism._constraints(shared, (), unlinked, None, None)[0]
-    assert q.find_homomorphism(linked[0], linked[1]) is not None
+    for target in linked[1:]:
+        assert q.find_homomorphism(linked[0], target) is not None
     assert calls == [len(shared.universe)]
 
 

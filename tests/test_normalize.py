@@ -1,10 +1,15 @@
+import collections
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 import epquery as q
 from epquery import homomorphism, normalize
+from epquery.errors import MAX_NODES
+from epquery.formulas import _structure_and_unions
 from helpers import all_structures, random_ep_formula, two_phase_m_normalize
 
 EPQ_SIG = q.Signature(
@@ -247,9 +252,10 @@ def test_m_normalize_search_counts(monkeypatch):
     # The filter tests a new disjunct against each kept one, and each kept
     # one against it only when it entails none of them.  Every disjunct of
     # H_n is kept, so H_n takes N(N - 1) searches for its N = n^n disjuncts.
-    # A Hamiltonian target's shared root is probed on its first use, which
-    # settles every search into it: H_2 counts 21 probes and H_3 200, and
-    # neither any search node.
+    # Every search between two Hamiltonian disjuncts is refuted by a
+    # loose-atom key before any search node: each successor edge's key is
+    # supported only by the disjunct that holds it.  The only nodes are the
+    # probes of the one family root: 8 on H_2, 16 on H_3 and 27 on H_4.
     searches = []
     real = normalize.find_homomorphism
 
@@ -258,8 +264,9 @@ def test_m_normalize_search_counts(monkeypatch):
         return real(source, target, **kwargs)
 
     monkeypatch.setattr(normalize, "find_homomorphism", counted)
-    for phi, count, nodes in ((q.hamiltonian_sentence(2), 12, 21),
-                              (q.hamiltonian_sentence(3), 702, 200),
+    for phi, count, nodes in ((q.hamiltonian_sentence(2), 12, 8),
+                              (q.hamiltonian_sentence(3), 702, 16),
+                              (q.hamiltonian_sentence(4), 65280, 27),
                               (EIGHT, 26, 3)):
         stats = q.SearchStats()
         searches.clear()
@@ -268,3 +275,85 @@ def test_m_normalize_search_counts(monkeypatch):
         if phi is not EIGHT:
             # no two Hamiltonian disjuncts entail each other, so all are kept
             assert members == q.to_pp_disjunction(phi)
+
+
+def _pattern_sentences(seed, count):
+    # the ``compile`` workload's pattern-union sentences, as its set-up renders them
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    rng = workloads._rng("compile", seed, "sentences")
+    return [q.parse_formula(q.render(workloads._pattern_union(rng))) for _ in range(count)]
+
+
+def _family_with_repeats(rng):
+    # A shared body over x, y, z and a disjunction of literals, some of
+    # whose tuples repeat a value (loops, P and Q on one variable, a loop
+    # through a fresh variable) where others do not, so a target often
+    # holds a tuple that repeats where a source's loose tuple does not.
+    xs = ["x", "y", "z"]
+
+    def atom():
+        sym = rng.choice(["E", "E", "E", "P", "Q"])
+        if sym == "E":
+            a = rng.choice(xs)
+            return q.Atom("E", (a, a if rng.random() < 0.4 else rng.choice(xs)))
+        return q.Atom(sym, (rng.choice(xs),))
+
+    def literal():
+        if rng.random() < 0.25:
+            a = rng.choice(xs)
+            args = rng.choice([("u", "u"), (a, "u"), ("u", a)])
+            return q.Exists("u", q.conj([q.Atom("E", args)] + [atom()] * (rng.random() < 0.3)))
+        return atom()
+
+    body = [atom() for _ in range(rng.randint(1, 3))]
+    clauses = [q.disj([literal() for _ in range(rng.randint(2, 3))]) for _ in range(rng.randint(1, 2))]
+    phi = q.conj(body + clauses)
+    for x in reversed(xs):
+        phi = q.Exists(x, phi)
+    return phi
+
+
+def _check_key_refutations(phi, counts):
+    # Every ordered pair of linked disjuncts that the loose-atom keys refute
+    # has no homomorphism by the plain, unlinked search; and m_normalize
+    # keeps what the two-phase reference keeps.
+    disjuncts = q.to_pp_disjunction(phi)
+    signature = q.formula_signature(phi)
+    linked = [_structure_and_unions(d, signature)[0] for d in disjuncts]
+    plain = [_structure_and_unions(d, signature)[0] for d in disjuncts]
+    homomorphism._link_shared(linked)
+    if "_shared" in linked[0].__dict__:
+        held = linked[0].__dict__["_shared"].relations
+        for i, j in itertools.permutations(range(len(disjuncts)), 2):
+            found = q.find_homomorphism(plain[j], plain[i])
+            refuted = homomorphism._keyed_out(linked[j], linked[i], homomorphism._Budget(None, MAX_NODES))
+            assert not (refuted and found), (phi, i, j)
+            counts["pairs"] += 1
+            counts["refuted"] += refuted
+            # a loose tuple that the map sends onto a tuple with fewer distinct values
+            counts["collapsed"] += found is not None and any(
+                len({found.mapping[x] for x in t}) < len(set(t))
+                for name, tuples in plain[j].relations.items() for t in tuples if t not in held[name])
+    assert q.m_normalize(phi) == two_phase_m_normalize(phi)
+
+
+@pytest.mark.time_limit(120)
+def test_key_refutations_agree_with_the_plain_search():
+    rng = random.Random(53)
+    groups = {
+        "random": [_family_with_repeats(rng) for _ in range(60)],
+        "compile": _pattern_sentences(1, 80),
+        "hamiltonian": [q.hamiltonian_sentence(2), q.hamiltonian_sentence(3)],
+    }
+    for name, sentences in groups.items():
+        counts = collections.Counter()
+        for phi in sentences:
+            _check_key_refutations(phi, counts)
+        assert counts["refuted"] > 0, name
+        if name == "random":
+            assert counts["collapsed"] > 20 and counts["pairs"] > counts["refuted"]
+        if name == "hamiltonian":
+            assert counts["refuted"] == counts["pairs"] == 12 + 702
