@@ -22,7 +22,6 @@ from .errors import (
     MAX_ROWS,
     MAX_WORK,
     EpqError,
-    FragmentError,
     LimitExceeded,
 )
 from .formulas import (
@@ -37,9 +36,7 @@ from .formulas import (
     _free_sets,
     _structure_and_unions,
     children,
-    classify,
     structure_of_pp,
-    subformulas,
     walk,
 )
 from .homomorphism import SearchStats, find_homomorphism, hom_equivalent
@@ -55,11 +52,13 @@ class Instance:
     structure: Structure
 
 
-def _check_sentence(phi, b, fragment):
-    # What every strategy requires of its input, in this order.
-    _checked(phi, fragment, b.signature)
+def _check_sentence(phi, b, fragment, k=None):
+    # What every strategy requires of its input, in this order (kvar's k
+    # first); the sentence's ``_scan``.
+    scan = _checked(phi, fragment, b.signature, k)
     if not b.universe:
         raise EpqError("evaluation needs a non-empty universe")
+    return scan
 
 
 def eval_naive(phi, b, *, max_work=MAX_WORK):
@@ -84,8 +83,8 @@ def eval_naive(phi, b, *, max_work=MAX_WORK):
     quantifiers nest far deeper than the number of live variables.  Atoms and
     equalities are decided in their parent's loop, without a walker frame.
     """
-    _check_sentence(phi, b, "FO")
-    free = _free_sets(subformulas(phi))
+    *_, nodes = _check_sentence(phi, b, "FO")
+    free = _free_sets(nodes)
     if len(b.universe) ** max(map(len, free.values())) > max_work:
         raise LimitExceeded("naive evaluation work estimate", max_work)
     free = {}
@@ -369,15 +368,18 @@ def eval_kvar(phi, b, k, *, stats=None, max_rows=MAX_ROWS):
     and ``rows_max`` (the largest relation built, atom projections included;
     a join's rows that a check drops are not counted).
     """
-    info = classify(phi)
-    if info.variables > k:
-        raise FragmentError(f"sentence uses {info.variables} variables, more than k={k}")
-    _check_sentence(phi, b, "FO")
-    run = _KvarRun(b, max_rows, _free_sets(subformulas(phi)))
+    return _eval_kvar(phi, b, k, stats=stats, max_rows=max_rows)
+
+
+def _eval_kvar(phi, b, k, *, stats=None, max_rows=MAX_ROWS):
+    # ``eval_kvar``; a k of None stands for the sentence's own variable
+    # count, so that ``evaluate`` gets it from the one sentence check
+    _, names, _, _, nodes = _check_sentence(phi, b, "FO", k)
+    run = _KvarRun(b, max_rows, _free_sets(nodes))
     vars_final, rows = walk(_relation(phi, run))
     if stats is not None:
         stats.update(max_arity=run.widest, joins=run.joins, rows_max=run.rows_max)
-    assert run.widest <= k
+    assert run.widest <= (len(names) if k is None else k)
     assert vars_final == ()
     return bool(rows)
 
@@ -604,8 +606,7 @@ def evaluate(phi, b, strategy="naive", *, k=None, stats=None, **limits):
     if strategy == "naive":
         return eval_naive(phi, b, **taking("max_work"))
     if strategy == "kvar":
-        bound = k if k is not None else classify(phi).variables
-        return eval_kvar(phi, b, bound, stats=stats, **taking("max_rows"))
+        return _eval_kvar(phi, b, k, stats=stats, **taking("max_rows"))
     if strategy == "dnf-hom":
         return eval_dnf_hom(phi, b, stats=stats, **taking("max_disjuncts", "max_nodes"))
     if strategy == "pp-reduction":

@@ -218,10 +218,11 @@ def walk(gen):
 
 def _scan(f):
     # One preorder walk of f: the node kinds, the variable names, the free
-    # variables of f alone, and each (symbol, arity) its atoms use, in order
-    # of first use.  A quantifier binds its variable until the walk reaches
-    # the mark pushed below its body, so no per-node sets are built.
-    kinds, names, free, uses = set(), set(), set(), {}
+    # variables of f alone, each (symbol, arity) its atoms use, in order of
+    # first use, and the nodes in preorder (as ``subformulas`` lists them).
+    # A quantifier binds its variable until the walk reaches the mark pushed
+    # below its body, so no per-node sets are built.
+    kinds, names, free, uses, nodes = set(), set(), set(), {}, []
     bound = {}  # name -> quantifiers binding it on the current path
     stack = [f]
     while stack:
@@ -229,6 +230,7 @@ def _scan(f):
         if g is _LEAVE:
             bound[stack.pop()] -= 1
             continue
+        nodes.append(g)
         kind = type(g)
         kinds.add(kind)
         if kind is Atom or kind is Equality:
@@ -245,7 +247,7 @@ def _scan(f):
                 bound[g.var] = bound.get(g.var, 0) + 1
                 stack += (g.var, _LEAVE)
             stack.extend(reversed(children(g)))
-    return kinds, names, free, uses
+    return kinds, names, free, uses, nodes
 
 
 _LEAVE = object()
@@ -301,19 +303,21 @@ _REQUIRED = {"PP": "a primitive positive sentence is required",
              "EP": "an existential positive sentence is required"}
 
 
-def _checked(f, fragment, signature=None):
-    # The (symbol, arity) pairs f's atoms use, in order of first use, once f
-    # is a closed sentence of the fragment ("PP", "EP" or "FO", each within
-    # the next) whose atoms fit the signature, if given, in that order; of
-    # the atoms that do not fit, the first in preorder is named.  Without a
-    # signature, ``_signature`` of the result is the one they fit.
-    kinds, names, free, uses = _scan(f)
+def _checked(f, fragment, signature=None, k=None):
+    # The ``_scan`` of f, once f is a sentence of at most ``k`` variables, if
+    # given, of the fragment ("PP", "EP" or "FO", each within the next), is
+    # closed, and has atoms that fit the signature, if given, checked in that
+    # order; of the atoms that do not fit, the first in preorder is named.
+    # Without a signature, ``_signature`` of the scan's uses is the one they fit.
+    scan = kinds, names, free, uses, _ = _scan(f)
+    if k is not None and len(names) > k:
+        raise FragmentError(f"sentence uses {len(names)} variables, more than k={k}")
     if fragment in _REQUIRED and _info(kinds, names, free).fragment not in ("PP", fragment):
         raise FragmentError(_REQUIRED[fragment])
     if free:
         raise FragmentError("a closed sentence is required")
     if signature is None:
-        return uses
+        return scan
     arities = signature._arities
     for symbol, used in uses:
         if symbol not in arities:
@@ -321,7 +325,7 @@ def _checked(f, fragment, signature=None):
         if arities[symbol] != used:
             raise SignatureMismatch(
                 f"symbol {symbol!r} has arity {arities[symbol]}, used with {used} arguments")
-    return uses
+    return scan
 
 
 # One match per token: a comment up to the next line break (any that
@@ -546,7 +550,7 @@ def structure_of_pp(psi, signature=None):
     name wins); the universe keeps one element per surviving quantified
     variable, in quantifier-prefix order.
     """
-    uses = _checked(psi, "PP", signature)
+    uses = _checked(psi, "PP", signature)[3]
     return _structure_and_unions(psi, _signature(uses) if signature is None else signature)[0]
 
 

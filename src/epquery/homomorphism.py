@@ -7,8 +7,9 @@ the source tuple's repetition pattern.
 
 - The target side is prepared once per target structure and kept on it: per
   (symbol, repetition pattern), the supports, a mask per column of the values
-  that have a support, and for binary patterns the per-value partner masks.
-  Every search into that target reuses them.
+  that have a support, and for binary patterns the per-value partner masks,
+  which one pass over the relation builds with the column masks.  Every
+  search into that target reuses them.
 - The source side is a skeleton built once per source structure and kept on
   it: per (symbol, repetition pattern), the variables in each column, the
   partner lists of the binary tuples and the variable tuples of the wider
@@ -22,6 +23,18 @@ the source tuple's repetition pattern.
   arcs than taking the newest first.  Constraints of arity three or more
   rescan their rows.  Generalized arc consistency runs after every
   assignment.
+- A wide mask is read through the partner masks a byte at a time, as
+  Lecoutre and Vion read bitset domains a machine word at a time
+  ("Enforcing arc consistency using bitwise operations", Constraint
+  Programming Letters 2, 2008).  A partner list's first wide read builds its
+  byte tables, two 16-entry tables per byte of the universe: the unions of
+  its masks over each subset of the byte's low half-byte and of its high
+  one.  They are kept in the partner list, so they live and die with the
+  target's tables.  A mask is wide when it holds more values than the
+  universe has bytes, by more than one byte's worth; a narrower one is read
+  a bit at a time.  This serves the forward reach of a revision, the check
+  of which values lost their last support (those that the byte reach of
+  the kept values no longer covers) and the supports of union branches.
 - Sources that ``_link_shared`` linked (``m_normalize`` links the flattened
   disjuncts of a sentence when there are three or more) share the
   substructure of the tuples they all hold.  It keeps its root fixpoint
@@ -140,6 +153,10 @@ class _PreparedTarget:
     binary keys the partner masks ``fwd[a]`` (second values seen with ``a``)
     and ``rev[b]`` (first values seen with ``b``).  Keys are filled in on
     first use and shared by every source tuple with that key.
+
+    Each partner list holds one more item after its ``size`` masks: its
+    byte tables (see ``_byte_tables``), None until a wide read first needs
+    them.  So they live and die with the target's tables.
     """
 
     def __init__(self, target):
@@ -152,22 +169,38 @@ class _PreparedTarget:
         key = (name, pattern)
         found = self.keys.get(key)
         if found is None:
-            tindex = self.tindex
-            supports = [tuple(tindex[x] for x in row)
-                        for row in project_rows(self.relations[name], pattern)]
-            cols = [0] * (max(pattern) + 1)
-            for row in supports:
-                for i, val in enumerate(row):
-                    cols[i] |= 1 << val
-            fwd = rev = None
-            if len(cols) == 2:
-                fwd = [0] * self.size
-                rev = [0] * self.size
-                for a, b in supports:
-                    fwd[a] |= 1 << b
-                    rev[b] |= 1 << a
-            found = self.keys[key] = (supports if len(cols) > 2 else None, cols, fwd, rev)
+            found = self.keys[key] = (self._binary(name, pattern) if max(pattern) == 1
+                                      else self._projected(name, pattern))
         return found
+
+    def _projected(self, name, pattern):
+        tindex = self.tindex
+        supports = [tuple(tindex[x] for x in row)
+                    for row in project_rows(self.relations[name], pattern)]
+        cols = [0] * (max(pattern) + 1)
+        for row in supports:
+            for i, val in enumerate(row):
+                cols[i] |= 1 << val
+        return supports if len(cols) > 2 else None, cols, None, None
+
+    def _binary(self, name, pattern):
+        # one pass over the rows, which tie at least where the pattern does:
+        # a loop row (c, c) supports (0, 1) as (c, c)
+        tindex = self.tindex
+        second = pattern.index(1)
+        ties = [(i, pattern.index(p)) for i, p in enumerate(pattern) if pattern.index(p) != i]
+        fwd = [0] * self.size + [None]
+        rev = [0] * self.size + [None]
+        firsts = seconds = 0
+        for row in self.relations[name]:
+            if ties and any(row[i] != row[j] for i, j in ties):
+                continue
+            a, b = tindex[row[0]], tindex[row[second]]
+            fwd[a] |= 1 << b
+            rev[b] |= 1 << a
+            firsts |= 1 << a
+            seconds |= 1 << b
+        return None, [firsts, seconds], fwd, rev
 
 
 def _prepared(target):
@@ -431,13 +464,61 @@ def _shared_root(shared, target, budget):
 
 
 def _reach(values, table):
-    # the union of table[v] over the values v in the mask
+    # the union of table[v] over the values v in the mask, a bit at a time
     out = 0
     while values:
         bit = values & -values
         values ^= bit
         out |= table[bit.bit_length() - 1]
     return out
+
+
+def _partner_reach(values, table):
+    # ``_reach`` through one of a target's partner lists, by bytes when the mask is wide
+    if values.bit_count() > _byte_limit(table):
+        return _byte_reach(values, table)
+    return _reach(values, table)
+
+
+def _byte_limit(table):
+    """The most values a mask may hold and still be read a bit at a time
+    through the partner list ``table``: one per byte of the universe, and
+    one byte's worth more, as a byte read has a fixed cost of about eight
+    bit steps."""
+    return (len(table) + 70) >> 3
+
+
+def _byte_reach(values, table):
+    # ``_reach`` through a partner list, one byte of the mask at a time
+    size = len(table) - 1
+    out = 0
+    for byte, (low, high) in zip(values.to_bytes((size + 7) >> 3, "little"),
+                                 table[size] or _byte_tables(table)):
+        if byte:
+            out |= low[byte & 15] | high[byte >> 4]
+    return out
+
+
+def _byte_tables(table):
+    """The byte tables of a partner list, built on its first wide read and
+    kept in its last item: per byte of the universe, two 16-entry tables,
+    the unions of the partner masks over each subset of the byte's low
+    half-byte and of its high one.  The last byte is padded with empty
+    masks, past the end of the universe."""
+    size = len(table) - 1
+    masks = table[:size] + [0] * (-size % 8)
+    pairs = []
+    for base in range(0, size, 8):
+        halves = []
+        for start in (base, base + 4):
+            union = [0] * 16
+            for subset in range(1, 16):
+                low = subset & -subset
+                union[subset] = union[subset ^ low] | masks[start + low.bit_length() - 1]
+            halves.append(union)
+        pairs.append(halves)
+    table[size] = pairs
+    return pairs
 
 
 def _supported(vars, entry, domains):
@@ -448,8 +529,8 @@ def _supported(vars, entry, domains):
         return [domains[vars[0]] & cols[0]]
     if len(vars) == 2:
         x, y = vars
-        kept_x = domains[x] & _reach(domains[y], rev)
-        return [kept_x, domains[y] & _reach(kept_x, fwd)]
+        kept_x = domains[x] & _partner_reach(domains[y], rev)
+        return [kept_x, domains[y] & _partner_reach(kept_x, fwd)]
     doms = [domains[v] for v in vars]
     seen = [0] * len(vars)
     for row in supports:
@@ -468,17 +549,23 @@ def _union_kept(branches, domains):
     A branch is alive while its atom has a support inside the domains.  Each
     variable that occurs in every live branch keeps the values some live
     branch supports; other variables are not narrowed.  None when no branch
-    is alive.
+    is alive.  A binary branch's second variable waits until it is known to
+    be in every live branch before its supported values are worked out.
     """
     live = []
     for vars, entry in branches:
-        seen = _supported(vars, entry, domains)
+        if len(vars) == 2:  # the first side only, through ``rev``
+            seen = [domains[vars[0]] & _partner_reach(domains[vars[1]], entry[3])]
+        else:
+            seen = _supported(vars, entry, domains)
         if seen[0]:
-            live.append((vars, seen))
+            live.append((vars, entry, seen))
     if not live:
         return None
-    kept = dict.fromkeys(set(live[0][0]).intersection(*(vars for vars, _ in live[1:])), 0)
-    for vars, seen in live:
+    kept = dict.fromkeys(set(live[0][0]).intersection(*(vars for vars, _, _ in live[1:])), 0)
+    for vars, entry, seen in live:
+        if len(seen) < len(vars) and vars[1] in kept:  # the second side, through ``fwd``
+            seen.append(domains[vars[1]] & _partner_reach(seen[0], entry[2]))
         for v, values in zip(vars, seen):
             if v in kept:
                 kept[v] |= values
@@ -531,26 +618,41 @@ def _propagate(domains, arcs, scans, unions, queue, trail):
         if x in unions:
             pending.update(unions[x])
         dom_x = domains[x]
-        from_lost = lost.bit_count() < dom_x.bit_count()
+        count = lost.bit_count()
+        from_lost = count < dom_x.bit_count()
+        if from_lost:
+            values = lost
+        else:
+            values, count = dom_x, dom_x.bit_count()
         for out, back, ys in arcs[x]:
             # the values reached through ``out`` from the lost or the kept ones
-            reached = 0
-            rest = lost if from_lost else dom_x
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                reached |= out[bit.bit_length() - 1]
+            limit = _byte_limit(out)
+            if count > limit:
+                reached = _byte_reach(values, out)
+            else:
+                reached = 0
+                rest = values
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    reached |= out[bit.bit_length() - 1]
+            covered = None  # the values with a partner in dom_x, read by bytes when first needed
             for y in ys:
                 dom_y = domains[y]
                 if from_lost:
                     # only a value that lost a partner can lose its last support
-                    removed = 0
                     rest = reached & dom_y
-                    while rest:
-                        bit = rest & -rest
-                        rest ^= bit
-                        if not back[bit.bit_length() - 1] & dom_x:
-                            removed |= bit
+                    if covered is None and rest.bit_count() > limit:
+                        covered = _byte_reach(dom_x, out)
+                    if covered is not None:
+                        removed = rest & ~covered
+                    else:
+                        removed = 0
+                        while rest:
+                            bit = rest & -rest
+                            rest ^= bit
+                            if not back[bit.bit_length() - 1] & dom_x:
+                                removed |= bit
                 else:
                     removed = dom_y & ~reached
                 if removed:

@@ -15,7 +15,6 @@ import itertools
 
 from .errors import MAX_DISJUNCTS, MAX_NODES, FragmentError, LimitExceeded
 from .formulas import (
-    And,
     Atom,
     Equality,
     Exists,
@@ -25,8 +24,6 @@ from .formulas import (
     _structure_and_unions,
     conj,
     disj,
-    formula_signature,
-    structure_of_pp,
     walk,
 )
 from .homomorphism import _link_shared, find_homomorphism
@@ -38,10 +35,11 @@ def pp_entails(psi, psi_prime, *, signature=None, max_nodes=MAX_NODES, stats=Non
     ``psi`` entails ``psi_prime`` exactly when the structure of ``psi_prime``
     maps homomorphically into the structure of ``psi``.
     """
+    uses = {**_checked(psi, "PP", signature)[3], **_checked(psi_prime, "PP", signature)[3]}
     if signature is None:
-        signature = formula_signature(And((psi, psi_prime)))
-    left = structure_of_pp(psi, signature)
-    right = structure_of_pp(psi_prime, signature)
+        signature = _signature(uses)  # which the atoms of both fit by construction
+    left = _structure_and_unions(psi, signature)[0]
+    right = _structure_and_unions(psi_prime, signature)[0]
     return find_homomorphism(right, left, max_nodes=max_nodes, stats=stats) is not None
 
 
@@ -127,7 +125,7 @@ def m_normalize(
     H_n every test ends there, and the only nodes counted are that root's
     probes: 27 on H_4's 65,280 tests.
     """
-    uses = _checked(phi, "EP", signature)
+    uses = _checked(phi, "EP", signature)[3]
     if signature is None:
         signature = _signature(uses)  # which the atoms fit by construction
     return [member for member, _ in _members(phi, signature, max_disjuncts, max_nodes, stats)]
@@ -172,16 +170,16 @@ def compile_unary(phi, *, signature=None, max_disjuncts=MAX_DISJUNCTS, max_nodes
     number of distinct one-variable building blocks is bounded by the subset
     count of the signature alone, independent of the input length.
     """
+    uses = _checked(phi, "EP", signature)[3]
     if signature is None:
-        signature = formula_signature(phi)
+        signature = _signature(uses)
     if any(sym.arity != 1 for sym in signature):
         raise FragmentError("compilation needs an all-unary signature")
 
-    disjuncts = to_pp_disjunction(phi, max_disjuncts=max_disjuncts)
     conjunction_sets = []
     seen = set()
-    for d in disjuncts:
-        struct = structure_of_pp(d, signature)
+    for d in _disjuncts(phi, max_disjuncts, False):
+        struct = _structure_and_unions(d, signature)[0]
         subsets = set()
         for elem in struct.universe:
             carried = frozenset(
@@ -201,5 +199,6 @@ def compile_unary(phi, *, signature=None, max_disjuncts=MAX_DISJUNCTS, max_nodes
         conj([_little_sentence(s) for s in sorted(subsets, key=sorted)])
         for subsets in conjunction_sets
     ]
-    kept = m_normalize(disj(sentences), signature=signature, max_nodes=max_nodes)
-    return disj(kept)
+    # a closed EP sentence over the signature's symbols, so it needs no check
+    kept = _members(disj(sentences), signature, MAX_DISJUNCTS, max_nodes, None)
+    return disj([member for member, _ in kept])

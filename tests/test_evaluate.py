@@ -165,23 +165,41 @@ def test_every_strategy_shares_one_precheck(strategy, text, b, fo_fault, ep_faul
 def test_each_entry_point_scans_the_sentence_once(monkeypatch):
     # The sentence check and the signature a builder infers come from one
     # walk of the sentence, and the flattening behind each entry point
-    # trusts the check its caller made.
-    scans = []
-    real = formulas._scan
+    # trusts the check its caller made.  So do kvar's default k and the free
+    # variable sets of kvar and naive, and each sentence of an entailment.
+    scans = []  # each walk of a whole sentence: a scan or a preorder listing
 
-    def counted(f):
-        scans.append(f)
-        return real(f)
+    def counted(real):
+        def walked(f):
+            scans.append(f)
+            return real(f)
+        return walked
 
-    monkeypatch.setattr(formulas, "_scan", counted)
+    monkeypatch.setattr(formulas, "_scan", counted(formulas._scan))
+    for module in (formulas, evaluate):
+        monkeypatch.setattr(module, "subformulas", counted(formulas.subformulas), raising=False)
     phi = q.parse_formula("exists x . exists y . (E(x,y) & (P(x) | Q(y)) & (E(y,x) | P(y)))")
     b = q.Structure(EPQ_SIG, ("a", "b"), {"E": {("a", "b"), ("b", "a")}, "P": {("a",)}})
     for run in (lambda: q.m_normalize(phi), lambda: q.m_normalize(phi, signature=EPQ_SIG),
                 lambda: q.to_pp_disjunction(phi), lambda: q.eval_dnf_hom(phi, b),
-                lambda: q.eval_via_pp_turing(phi, b)):
+                lambda: q.eval_via_pp_turing(phi, b), lambda: q.evaluate(phi, b, "kvar"),
+                lambda: q.evaluate(phi, b, "kvar", k=2), lambda: q.eval_kvar(phi, b, 2),
+                lambda: q.evaluate(phi, b, "naive"), lambda: q.eval_naive(phi, b)):
         scans.clear()
         run()
         assert scans == [phi]
+    psi, psi_prime = (q.parse_formula(text) for text in (
+        "exists x . exists y . E(x,y) & P(x)", "exists z . E(z,z)"))
+    for signature in (None, EPQ_SIG):
+        scans.clear()
+        q.pp_entails(psi, psi_prime, signature=signature)
+        assert scans == [psi, psi_prime]
+    unary = q.parse_formula("exists x . (P(x) | Q(x)) & (exists y . P(y) & Q(y))")
+    for signature in (None, q.Signature([q.RelationSymbol("P", 1), q.RelationSymbol("Q", 1)])):
+        scans.clear()
+        q.compile_unary(unary, signature=signature)
+        # the other scans read the names of the one-variable sentences it builds
+        assert [f for f in scans if f is unary] == [unary]
 
 
 def test_eval_kvar_max_rows_guards_padding_and_complement():

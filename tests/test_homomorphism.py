@@ -1,4 +1,5 @@
 import collections
+import gc
 import itertools
 import json
 import os
@@ -433,6 +434,112 @@ def test_constraints_match_per_tuple_reference():
         outcomes["unions"] += bool(unions)
         outcomes["fixed"] += bool(fixed)
     assert min(outcomes.values()) >= 30, outcomes
+
+
+def _wide_target(rng, size):
+    # E at one of three densities, plus hubs related to most of the universe
+    # and, in half of the targets, loops; T holds rows with repeated entries,
+    # so that the binary keys (0, 1, 0) and (0, 0, 1) get supports
+    names = tuple(f"t{i}" for i in range(size))
+    density = rng.choice([0.02, 0.08, 0.3])
+    edges = {(x, y) for x in names for y in names if x != y and rng.random() < density}
+    for hub in rng.sample(names, 3):
+        edges |= {(hub, y) for y in names if hub != y and rng.random() < 0.7}
+        edges |= {(x, hub) for x in names if x != hub and rng.random() < 0.7}
+    if rng.random() < 0.5:
+        edges |= {(x, x) for x in rng.sample(names, size // 10)}
+    triples = set()
+    for _ in range(3 * size):
+        x, y, z = (rng.choice(names) for _ in range(3))
+        triples.add(rng.choice([(x, y, x), (x, x, y), (x, y, z)]))
+    return q.Structure(MIXED, names, {"P": {(x,) for x in names if rng.random() < 0.6},
+                                      "E": edges, "T": triples})
+
+
+def test_byte_reads_match_bit_reads(monkeypatch):
+    # Wide masks are read a byte at a time (``_byte_reach``); the reference
+    # builder and search read every mask a bit at a time, through
+    # ``lifo_propagate``.  Root domains, witnesses and node counts agree on
+    # targets of 9-300 elements, none a multiple of 8, with domains on both
+    # sides of the switch.
+    reads = collections.Counter()
+    real_reach, real_tables = homomorphism._byte_reach, homomorphism._byte_tables
+
+    def byte_reach(values, table):
+        reads["bytes"] += 1
+        return real_reach(values, table)
+
+    def byte_tables(table):
+        reads["tables"] += 1
+        return real_tables(table)
+
+    monkeypatch.setattr(homomorphism, "_byte_reach", byte_reach)
+    monkeypatch.setattr(homomorphism, "_byte_tables", byte_tables)
+    rng = random.Random(2008)
+    outcomes = collections.Counter()
+    for trial, size in enumerate([9, 13, 23, 30, 45, 61, 67, 100, 131, 203, 251, 300] * 4):
+        b = _wide_target(rng, size)
+        if trial % 2:
+            density = rng.choice([0.05, 0.1, 0.2])
+            a = random_structure(rng, MIXED, rng.randint(3, 6), density=density)
+        else:  # a clique or a directed cycle, which sparse targets refute after some search
+            k = rng.randint(4, 6)
+            pairs = (itertools.permutations(range(k), 2) if trial % 4
+                     else ((i, (i + 1) % k) for i in range(k)))
+            a = q.Structure(MIXED, tuple(f"a{i}" for i in range(k)),
+                            {"E": {(f"a{i}", f"a{j}") for i, j in pairs}})
+        fixed = {rng.choice(a.universe): rng.choice(b.universe)} if trial % 5 == 0 else None
+        unions = _random_unions(rng, a) if trial % 3 == 0 else ()
+        ref = per_tuple_constraints(a, unions, b, fixed)
+        new = homomorphism._constraints(a, unions, b, fixed, None)
+        assert (new and new[0]) == (ref and ref[0])
+        stats, ref_stats = q.SearchStats(), q.SearchStats()
+        found = q.find_homomorphism(a, b, fixed=fixed, unions=unions, stats=stats)
+        expected = per_tuple_search(a, unions, b, fixed, stats=ref_stats)
+        assert (found and found.mapping) == expected
+        assert stats.nodes == ref_stats.nodes
+        outcomes["wiped" if ref is None else "found" if expected else "refuted"] += 1
+        outcomes["searched"] += stats.nodes > 0
+    assert len(outcomes) == 4 and min(outcomes.values()) >= 3, outcomes
+    assert reads["bytes"] >= 100 and reads["tables"] >= 20, (reads, outcomes)
+
+
+def test_byte_tables_die_with_their_target():
+    # The byte tables are kept in the target's partner lists, on its
+    # ``_PreparedTarget``, and nowhere else: a dropped target takes its
+    # tables along, so fresh targets do not pile up.
+    source = cycle_digraph(3)
+
+    def searched(seed):
+        # only 61 of the 101 vertices have out-edges, so the root
+        # propagates the 40 values its column masks drop: a wide read
+        rng = random.Random(seed)
+        names = [f"b{i}" for i in range(101)]
+        target = digraph(names, {(u, v) for u in names[:61] for v in rng.sample(names, 3)})
+        q.find_homomorphism(source, target)
+        return target
+
+    target = searched(0)
+    prepared = homomorphism._prepared(target)
+    tables = [entry[2][-1] for entry in prepared.keys.values()]  # fwd's tables, per key
+    assert any(tables)  # a wide read built some
+    refs = [weakref.ref(target), weakref.ref(prepared)]
+    del target, prepared, tables
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    tracemalloc.start()
+    try:
+        for seed in range(1, 201):
+            searched(seed)
+            if seed == 20:
+                gc.collect()
+                settled = tracemalloc.get_traced_memory()[0]
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - settled
+    finally:
+        tracemalloc.stop()
+    # kept alive, the byte tables of 180 targets take about 6 MB
+    assert growth < 2**18, growth
 
 
 EPQ = q.Signature([q.RelationSymbol("E", 2), q.RelationSymbol("P", 1), q.RelationSymbol("Q", 1)])
